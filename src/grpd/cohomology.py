@@ -2,7 +2,9 @@
 
 For an involutive automorphism bar of G, the cocycles are
 Z1 = {s in G : s * bar(s) = e}, the twisted conjugation action is
-g . s = bar(g) * s * g^-1, and H1 is the set of orbits.  The stabilizer
+g . s = bar(g) * s * g^-1, and H1 is the set of orbits.  This is the twisted
+conjugation of ``grpd.twisted`` with theta = bar and B = G, and ``z1`` and
+``h1`` take their cocycles and orbits from there.  The stabilizer
 K_s = {g : bar(g) * s = s * g} of a cocycle is the automorphism group of the
 corresponding fixed point of the one-object groupoid of G.
 """
@@ -24,10 +26,10 @@ from .core import (
 )
 from .gamma import GammaAction, HomotopyFixedPoints, hfp
 from .groups import FiniteGroup, induced_subgroup, is_involutive_automorphism
+from .twisted import InvolutiveGroupData, TwistedOrbit, twisted_orbits, z1_theta
 
 __all__ = [
     "GroupGammaAction",
-    "CocycleClass",
     "BgDecomposition",
     "SkeletonPart",
     "Skeleton",
@@ -62,54 +64,19 @@ def bg_gamma_action(a: GroupGammaAction) -> GammaAction:
     return GammaAction(build_bg(a.group), (0,), tuple(a.bar))
 
 
+def _with_full_subgroup(a: GroupGammaAction) -> InvolutiveGroupData:
+    return InvolutiveGroupData(group=a.group, theta=a.bar,
+                               b_elements=tuple(a.group.elements()))
+
+
 def z1(a: GroupGammaAction) -> tuple[int, ...]:
     """Cocycles: elements with s * bar(s) = e, in increasing order."""
-    g = a.group
-    return tuple(s for s in g.elements() if g.mul(s, a.bar[s]) == g.identity)
+    return z1_theta(_with_full_subgroup(a)).elements
 
 
-@dataclass(frozen=True)
-class CocycleClass:
-    """A twisted conjugation orbit with its least representative and stabilizer."""
-
-    representative: int
-    members: tuple[int, ...]
-    stabilizer: tuple[int, ...]
-
-
-def _twisted(a: GroupGammaAction, g: int, s: int) -> int:
-    grp = a.group
-    return grp.mul(grp.mul(a.bar[g], s), grp.inv(g))
-
-
-def h1(a: GroupGammaAction) -> list[CocycleClass]:
+def h1(a: GroupGammaAction) -> list[TwistedOrbit]:
     """Orbits of twisted conjugation on the cocycles, sorted by representative."""
-    grp = a.group
-    cocycles = z1(a)
-    remaining = set(cocycles)
-    out = []
-    for s in cocycles:
-        if s not in remaining:
-            continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for g in grp.elements():
-                    u = _twisted(a, g, t)
-                    if u not in orbit:
-                        orbit.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        remaining -= orbit
-        stab = tuple(
-            g for g in grp.elements()
-            if grp.mul(a.bar[g], s) == grp.mul(s, g)
-        )
-        out.append(CocycleClass(representative=s, members=tuple(sorted(orbit)),
-                                stabilizer=stab))
-    return out
+    return twisted_orbits(_with_full_subgroup(a))
 
 
 @dataclass(frozen=True)
@@ -117,7 +84,7 @@ class BgDecomposition:
     """The comparison from a disjoint union of stabilizer groupoids into the
     fixed points of the one-object groupoid."""
 
-    classes: tuple[CocycleClass, ...]
+    classes: tuple[TwistedOrbit, ...]
     fixed_points: HomotopyFixedPoints = field(compare=False)
     source: FiniteGroupoid = field(compare=False)
     map: GroupoidMap = field(compare=False)

@@ -6,6 +6,12 @@ transport along the diagram arrows.  For a filtered index this is the actual
 colimit groupoid and the construction below produces complete, well-defined
 tables; a non-filtered index may make composition on classes clash, which is
 reported as ``NotFilteredError``.
+
+Every table indexed by classes (source, target, inverse and identity of the
+colimit, its induced involution, the comparison map, and the stalk maps of
+``grpd.presheaf``) is induced from tables on the nodes by one routine,
+``_descend``.  Members of a class that disagree raise ``InvariantViolation``;
+the comparison map reads that as "not an isomorphism".
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import FiniteGroupoid, GroupoidMap
+from .core import FiniteGroupoid, GroupoidMap, InvariantViolation, union_offsets
 from .gamma import EquivariantMap, GammaAction, HomotopyFixedPoints, hfp, hfp_map
 from .util import UnionFind
 
@@ -160,7 +166,10 @@ def validate_diagram(d: FilteredDiagram) -> list[str]:
         if e.cod_action is not d.nodes[c.tgt[u]] and e.cod_action != d.nodes[c.tgt[u]]:
             report.append(f"arrow {u}: codomain is not the target node")
             continue
-        report.extend(f"arrow {u}: {line}" for line in validate_functor(e.map))
+        functor_report = validate_functor(e.map)
+        if functor_report:
+            report.extend(f"arrow {u}: {line}" for line in functor_report)
+            continue
         w = equivariance_witness(e)
         if w is not None:
             report.append(f"arrow {u}: not equivariant at {w[0]} {w[1]}")
@@ -181,18 +190,32 @@ class GroupoidColimit:
     cocones: tuple[GroupoidMap, ...]
 
 
+def _descend(what: str, n_classes: int, class_maps: Sequence[Sequence[int]],
+             values: Sequence[Sequence]) -> tuple:
+    """The table on colimit classes induced by tables on the nodes.
+
+    Item x of node i lies in class ``class_maps[i][x]`` and has the value
+    ``values[i][x]``; the induced table gives each class the common value of
+    its members.  Raises ``InvariantViolation``, naming ``what`` and the first
+    class whose members disagree, or if some class has no member.
+    """
+    table = {}
+    for classes, vals in zip(class_maps, values, strict=True):
+        for c, v in zip(classes, vals, strict=True):
+            if table.setdefault(c, v) != v:
+                raise InvariantViolation(
+                    f"{what} is not well-defined on class {c}: {table[c]} != {v}")
+    if len(table) != n_classes:
+        raise InvariantViolation(f"{what} leaves a class without a value")
+    return tuple(table[c] for c in range(n_classes))
+
+
 def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
                       maps: Sequence[GroupoidMap]) -> GroupoidColimit:
     """Set-level colimit of plain groupoids over the index, with cocone maps."""
-    obj_off, mor_off = [], []
-    o = m = 0
-    for g in gpds:
-        obj_off.append(o)
-        mor_off.append(m)
-        o += g.n_objects
-        m += g.n_morphisms
-    uf_obj = UnionFind(range(o))
-    uf_mor = UnionFind(range(m))
+    obj_off, mor_off = union_offsets(gpds)
+    uf_obj = UnionFind(range(sum(g.n_objects for g in gpds)))
+    uf_mor = UnionFind(range(sum(g.n_morphisms for g in gpds)))
     for u in index.arrows():
         i, j = index.src[u], index.tgt[u]
         f = maps[u]
@@ -201,48 +224,30 @@ def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
         for k in gpds[i].morphisms():
             uf_mor.union(mor_off[i] + k, mor_off[j] + f.mor_map[k])
 
-    obj_classes = uf_obj.classes()
-    mor_classes = uf_mor.classes()
-    obj_class = [0] * o
-    for ci, cls in enumerate(obj_classes):
-        for x in cls:
-            obj_class[x] = ci
-    mor_class = [0] * m
-    for ci, cls in enumerate(mor_classes):
-        for k in cls:
-            mor_class[k] = ci
+    def class_maps(uf, offsets, sizes):
+        classes = uf.classes()
+        class_of = [0] * sum(sizes)
+        for ci, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = ci
+        return ([tuple(class_of[off:off + n]) for off, n in zip(offsets, sizes)],
+                len(classes))
 
-    def locate_mor(k_global):
-        for i in reversed(range(len(gpds))):
-            if k_global >= mor_off[i]:
-                return i, k_global - mor_off[i]
-        raise AssertionError
-
-    n_obj = len(obj_classes)
-    n_mor = len(mor_classes)
-    src = [None] * n_mor
-    tgt = [None] * n_mor
-    inv = [None] * n_mor
-    for ci, cls in enumerate(mor_classes):
-        for k_global in cls:
-            i, k = locate_mor(k_global)
-            s = obj_class[obj_off[i] + gpds[i].src[k]]
-            t = obj_class[obj_off[i] + gpds[i].tgt[k]]
-            v = mor_class[mor_off[i] + gpds[i].inv[k]]
-            assert src[ci] in (None, s) and tgt[ci] in (None, t) and inv[ci] in (None, v)
-            src[ci], tgt[ci], inv[ci] = s, t, v
-    id_of = [None] * n_obj
-    for i, g in enumerate(gpds):
-        for x in g.objects():
-            cx = obj_class[obj_off[i] + x]
-            ce = mor_class[mor_off[i] + g.id_of[x]]
-            assert id_of[cx] in (None, ce)
-            id_of[cx] = ce
+    obj_cls, n_obj = class_maps(uf_obj, obj_off, [g.n_objects for g in gpds])
+    mor_cls, n_mor = class_maps(uf_mor, mor_off, [g.n_morphisms for g in gpds])
+    src = _descend("source", n_mor, mor_cls,
+                   [[oc[x] for x in g.src] for oc, g in zip(obj_cls, gpds)])
+    tgt = _descend("target", n_mor, mor_cls,
+                   [[oc[x] for x in g.tgt] for oc, g in zip(obj_cls, gpds)])
+    inv = _descend("inverse", n_mor, mor_cls,
+                   [[mc[k] for k in g.inv] for mc, g in zip(mor_cls, gpds)])
+    id_of = _descend("identity", n_obj, obj_cls,
+                     [[mc[k] for k in g.id_of] for mc, g in zip(mor_cls, gpds)])
     comp = {}
-    for i, g in enumerate(gpds):
+    for mc, g in zip(mor_cls, gpds):
         for (m1, m2), m3 in g.comp.items():
-            key = (mor_class[mor_off[i] + m1], mor_class[mor_off[i] + m2])
-            val = mor_class[mor_off[i] + m3]
+            key = (mc[m1], mc[m2])
+            val = mc[m3]
             if comp.get(key, val) != val:
                 raise NotFilteredError(
                     f"composition on classes is not well-defined at {key}",
@@ -251,13 +256,8 @@ def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
 
     colim = FiniteGroupoid(n_obj, src, tgt, id_of, inv, comp)
     cocones = tuple(
-        GroupoidMap(
-            dom=gpds[i],
-            cod=colim,
-            obj_map=tuple(obj_class[obj_off[i] + x] for x in gpds[i].objects()),
-            mor_map=tuple(mor_class[mor_off[i] + k] for k in gpds[i].morphisms()),
-        )
-        for i in range(len(gpds))
+        GroupoidMap(dom=g, cod=colim, obj_map=oc, mor_map=mc)
+        for g, oc, mc in zip(gpds, obj_cls, mor_cls)
     )
     return GroupoidColimit(groupoid=colim, cocones=cocones)
 
@@ -280,21 +280,16 @@ def colimit(d: FilteredDiagram, require_filtered: bool = True) -> ColimitResult:
             raise NotFilteredError(w, witness=w)
     co = colimit_groupoids(d.index, [a.carrier for a in d.nodes],
                            [e.map for e in d.arrows])
-    n_obj = co.groupoid.n_objects
-    n_mor = co.groupoid.n_morphisms
-    bar_obj = [None] * n_obj
-    bar_mor = [None] * n_mor
-    for i, a in enumerate(d.nodes):
-        f = co.cocones[i]
-        for x in a.carrier.objects():
-            c, v = f.obj_map[x], f.obj_map[a.bar_obj[x]]
-            assert bar_obj[c] in (None, v), "induced involution must be well-defined"
-            bar_obj[c] = v
-        for k in a.carrier.morphisms():
-            c, v = f.mor_map[k], f.mor_map[a.bar_mor[k]]
-            assert bar_mor[c] in (None, v), "induced involution must be well-defined"
-            bar_mor[c] = v
-    action = GammaAction(co.groupoid, tuple(bar_obj), tuple(bar_mor))
+    g = co.groupoid
+    bar_obj = _descend("induced involution on objects", g.n_objects,
+                       [f.obj_map for f in co.cocones],
+                       [[f.obj_map[y] for y in a.bar_obj]
+                        for f, a in zip(co.cocones, d.nodes)])
+    bar_mor = _descend("induced involution on morphisms", g.n_morphisms,
+                       [f.mor_map for f in co.cocones],
+                       [[f.mor_map[k] for k in a.bar_mor]
+                        for f, a in zip(co.cocones, d.nodes)])
+    action = GammaAction(g, bar_obj, bar_mor)
     cocones = tuple(
         EquivariantMap(co.cocones[i], d.nodes[i], action) for i in range(len(d.nodes))
     )
@@ -316,10 +311,6 @@ def hfp_colimit_comparison(d: FilteredDiagram,
     colimit, via the canonical map; the verdict asks for a bijection on
     objects and on morphisms.
     """
-    if require_filtered:
-        w = filtered_witness(d.index)
-        if w is not None:
-            raise NotFilteredError(w, witness=w)
     co = colimit(d, require_filtered=require_filtered)
     rhs = hfp(co.action)
     fps = [hfp(a) for a in d.nodes]
@@ -328,52 +319,38 @@ def hfp_colimit_comparison(d: FilteredDiagram,
         for u in d.index.arrows()
     ]
     lhs = colimit_groupoids(d.index, [fp.groupoid for fp in fps], arrow_maps)
+    germs = [c.map for c in co.cocones]
 
-    ok = True
-    obj_map: list = [None] * lhs.groupoid.n_objects
-    for i, fp in enumerate(fps):
-        germ = co.cocones[i].map
-        for oi, o in enumerate(fp.objects):
-            c = lhs.cocones[i].obj_map[oi]
-            base_c = germ.obj_map[o.base]
-            phi_c = germ.mor_map[o.phi]
-            if not rhs.has_object(base_c, phi_c):
-                ok = False
-                break
-            target = rhs.object_id(base_c, phi_c)
-            if obj_map[c] is not None and obj_map[c] != target:
-                ok = False
-                break
-            obj_map[c] = target
-        if not ok:
-            break
-    mor_map: list = [None] * lhs.groupoid.n_morphisms
-    if ok:
-        for i, fp in enumerate(fps):
-            germ = co.cocones[i].map
-            for mi in fp.groupoid.morphisms():
-                c = lhs.cocones[i].mor_map[mi]
-                src_c = obj_map[lhs.cocones[i].obj_map[fp.groupoid.src[mi]]]
-                alpha_c = germ.mor_map[fp.underlying[mi]]
-                if src_c is None or not rhs.has_morphism(src_c, alpha_c):
-                    ok = False
-                    break
-                target = rhs.morphism_id(src_c, alpha_c)
-                if mor_map[c] is not None and mor_map[c] != target:
-                    ok = False
-                    break
-                mor_map[c] = target
-            if not ok:
-                break
+    def fixed_object(i, o):
+        base, phi = germs[i].obj_map[o.base], germs[i].mor_map[o.phi]
+        return rhs.object_id(base, phi) if rhs.has_object(base, phi) else None
 
-    total = ok and all(v is not None for v in obj_map) and all(v is not None for v in mor_map)
+    def fixed_morphism(i, m):
+        src = obj_map[lhs.cocones[i].obj_map[fps[i].groupoid.src[m]]]
+        alpha = germs[i].mor_map[fps[i].underlying[m]]
+        return rhs.morphism_id(src, alpha) if rhs.has_morphism(src, alpha) else None
+
+    # a class whose members land on different fixed points, or on none,
+    # leaves the canonical map undefined
     f = None
-    if total:
-        f = GroupoidMap(lhs.groupoid, rhs.groupoid, tuple(obj_map), tuple(mor_map))
+    try:
+        obj_map = _descend("comparison on objects", lhs.groupoid.n_objects,
+                           [c.obj_map for c in lhs.cocones],
+                           [[fixed_object(i, o) for o in fp.objects]
+                            for i, fp in enumerate(fps)])
+        if None not in obj_map:
+            mor_map = _descend("comparison on morphisms", lhs.groupoid.n_morphisms,
+                               [c.mor_map for c in lhs.cocones],
+                               [[fixed_morphism(i, m) for m in fp.groupoid.morphisms()]
+                                for i, fp in enumerate(fps)])
+            if None not in mor_map:
+                f = GroupoidMap(lhs.groupoid, rhs.groupoid, obj_map, mor_map)
+    except InvariantViolation:
+        pass
     bijective = (
-        total
-        and len(set(obj_map)) == len(obj_map) == rhs.groupoid.n_objects
-        and len(set(mor_map)) == len(mor_map) == rhs.groupoid.n_morphisms
+        f is not None
+        and len(set(f.obj_map)) == len(f.obj_map) == rhs.groupoid.n_objects
+        and len(set(f.mor_map)) == len(f.mor_map) == rhs.groupoid.n_morphisms
     )
     return ColimitComparison(map=f, is_isomorphism=bijective, lhs=lhs.groupoid,
                              rhs=rhs, colimit=co)

@@ -129,10 +129,6 @@ class FiniteGroupoid:
                 and self.tgt == other.tgt and self.id_of == other.id_of
                 and self.inv == other.inv and self.comp == other.comp)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         return f"FiniteGroupoid(objects={self.n_objects}, morphisms={self.n_morphisms})"
 

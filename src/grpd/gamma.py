@@ -38,7 +38,6 @@ __all__ = [
     "equivariance_witness",
     "validate_equivariant",
     "hfp_map",
-    "equivariant_identity",
     "swap_action",
     "swap_comparison",
     "gamma_union",
@@ -241,12 +240,6 @@ def validate_equivariant(e: EquivariantMap) -> list[str]:
     if w is None:
         return []
     return [f"equivariance: {w[0]} {w[1]}"]
-
-
-def equivariant_identity(a: GammaAction) -> EquivariantMap:
-    from .core import identity_map
-
-    return EquivariantMap(identity_map(a.carrier), a, a)
 
 
 def hfp_map(e: EquivariantMap,

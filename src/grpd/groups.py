@@ -21,7 +21,6 @@ __all__ = [
     "dihedral_group",
     "symmetric_group",
     "direct_product",
-    "from_permutations",
     "gl2_f2",
     "gl2_f2_upper_triangular",
     "subgroup_closure",
@@ -195,35 +194,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     )
     labels = tuple(_perm_label(p) for p in perms)
     return _from_table(table, f"S{n}", labels)
-
-
-def from_permutations(degree: int, generators: Sequence[Sequence[int]], name: str = "P") -> FiniteGroup:
-    """Close a set of permutations (one-line image notation) under composition."""
-    gens = []
-    for p in generators:
-        p = tuple(p)
-        if sorted(p) != list(range(degree)):
-            raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-        gens.append(p)
-    ident = tuple(range(degree))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = tuple(p[q[i]] for i in range(degree))
-                if r not in elems:
-                    elems.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(degree))] for q in ordered) for p in ordered
-    )
-    labels = tuple(_perm_label(p) for p in ordered)
-    return _from_table(table, name, labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

@@ -4,8 +4,9 @@ A site here is a finite poset of opens (with top, bottom, and meets) together
 with finitely many points, each having a principal neighborhood filter: a
 least open containing it.  Presheaves are strict functors; stalks are
 computed as genuine filtered colimits over the neighborhood filter, which for
-principal filters must agree with the section at the least open, and that
-agreement is asserted.
+principal filters must agree with the section at the least open; a stalk
+that disagrees raises ``InvariantViolation``, as do induced stalk maps and
+involutions whose germs disagree.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from .colimit import (
     ColimitComparison,
     FilteredDiagram,
     FiniteCategory,
+    _descend,
     colimit_groupoids,
     hfp_colimit_comparison,
 )
 from .core import (
     FiniteGroupoid,
     GroupoidMap,
+    InvariantViolation,
     build_action_groupoid,
     action_mor,
     identity_map,
@@ -346,7 +349,7 @@ def stalk(x: GroupoidPresheaf, t: int) -> Stalk:
     """The stalk at a point, as the colimit over its neighborhood filter.
 
     The filter is principal, so the germ map from the section at the least
-    open must be an isomorphism; that is asserted, not assumed.
+    open must be an isomorphism; that is checked, not assumed.
     """
     cat, opens = point_filter_category(x.site, t)
     gpds = [x.sections[u] for u in opens]
@@ -359,9 +362,11 @@ def stalk(x: GroupoidPresheaf, t: int) -> Stalk:
     germs = {opens[i]: co.cocones[i] for i in range(len(opens))}
     least = x.site.point_open[t]
     germ = germs[least]
-    assert (len(set(germ.obj_map)) == co.groupoid.n_objects == x.sections[least].n_objects
-            and len(set(germ.mor_map)) == co.groupoid.n_morphisms == x.sections[least].n_morphisms), \
-        "a principal filter must have its least-open germ an isomorphism"
+    if not (len(set(germ.obj_map)) == co.groupoid.n_objects == x.sections[least].n_objects
+            and len(set(germ.mor_map)) == co.groupoid.n_morphisms
+            == x.sections[least].n_morphisms):
+        raise InvariantViolation(
+            f"the germ map at the least open of point {t} is not an isomorphism")
     return Stalk(groupoid=co.groupoid, opens=opens, germs=germs)
 
 
@@ -369,40 +374,32 @@ def stalk_map(f: PresheafMap, t: int) -> GroupoidMap:
     """The induced map on stalks at a point."""
     sd = stalk(f.dom, t)
     sc = stalk(f.cod, t)
-    obj_map: list = [None] * sd.groupoid.n_objects
-    mor_map: list = [None] * sd.groupoid.n_morphisms
-    for u in sd.opens:
-        gd, gc = sd.germs[u], sc.germs[u]
-        fu = f.at[u]
-        for x in f.dom.sections[u].objects():
-            c, v = gd.obj_map[x], gc.obj_map[fu.obj_map[x]]
-            assert obj_map[c] in (None, v), "stalk map must be independent of the germ"
-            obj_map[c] = v
-        for k in f.dom.sections[u].morphisms():
-            c, v = gd.mor_map[k], gc.mor_map[fu.mor_map[k]]
-            assert mor_map[c] in (None, v), "stalk map must be independent of the germ"
-            mor_map[c] = v
-    assert None not in obj_map and None not in mor_map
-    return GroupoidMap(sd.groupoid, sc.groupoid, tuple(obj_map), tuple(mor_map))
+    gd = [sd.germs[u] for u in sd.opens]
+    gc = [sc.germs[u] for u in sd.opens]
+    obj_map = _descend("stalk map on objects", sd.groupoid.n_objects,
+                       [g.obj_map for g in gd],
+                       [[g.obj_map[y] for y in f.at[u].obj_map]
+                        for g, u in zip(gc, sd.opens)])
+    mor_map = _descend("stalk map on morphisms", sd.groupoid.n_morphisms,
+                       [g.mor_map for g in gd],
+                       [[g.mor_map[k] for k in f.at[u].mor_map]
+                        for g, u in zip(gc, sd.opens)])
+    return GroupoidMap(sd.groupoid, sc.groupoid, obj_map, mor_map)
 
 
 def stalk_gamma_action(a: PresheafGammaAction, t: int) -> GammaAction:
     """The involution induced on the stalk of the underlying presheaf."""
     st = stalk(a.presheaf, t)
-    bar_obj: list = [None] * st.groupoid.n_objects
-    bar_mor: list = [None] * st.groupoid.n_morphisms
-    for u in st.opens:
-        germ = st.germs[u]
-        act = a.at[u]
-        for x in a.presheaf.sections[u].objects():
-            c, v = germ.obj_map[x], germ.obj_map[act.bar_obj[x]]
-            assert bar_obj[c] in (None, v)
-            bar_obj[c] = v
-        for k in a.presheaf.sections[u].morphisms():
-            c, v = germ.mor_map[k], germ.mor_map[act.bar_mor[k]]
-            assert bar_mor[c] in (None, v)
-            bar_mor[c] = v
-    return GammaAction(st.groupoid, tuple(bar_obj), tuple(bar_mor))
+    germs = [st.germs[u] for u in st.opens]
+    bar_obj = _descend("stalk involution on objects", st.groupoid.n_objects,
+                       [g.obj_map for g in germs],
+                       [[g.obj_map[y] for y in a.at[u].bar_obj]
+                        for g, u in zip(germs, st.opens)])
+    bar_mor = _descend("stalk involution on morphisms", st.groupoid.n_morphisms,
+                       [g.mor_map for g in germs],
+                       [[g.mor_map[k] for k in a.at[u].bar_mor]
+                        for g, u in zip(germs, st.opens)])
+    return GammaAction(st.groupoid, bar_obj, bar_mor)
 
 
 def diagram_at_point(a: PresheafGammaAction, t: int) -> FilteredDiagram:
@@ -470,11 +467,6 @@ class GroupPresheaf:
     groups: tuple[FiniteGroup, ...]
     res: dict = field(hash=False)
 
-    def res_hom(self, u: int, v: int) -> tuple[int, ...]:
-        if u == v:
-            return tuple(self.groups[u].elements())
-        return self.res[(u, v)]
-
 
 def validate_group_presheaf(g: GroupPresheaf) -> list[str]:
     report = []
@@ -518,11 +510,6 @@ class ActionPresheaf:
     groups: GroupPresheaf
     actions: tuple[GroupAction, ...]
     set_res: dict = field(hash=False)
-
-    def set_res_map(self, u: int, v: int) -> tuple[int, ...]:
-        if u == v:
-            return tuple(range(self.actions[u].n_points))
-        return self.set_res[(u, v)]
 
 
 def validate_action_presheaf(a: ActionPresheaf) -> list[str]:

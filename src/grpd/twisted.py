@@ -38,6 +38,7 @@ from .groups import (
     induced_subgroup,
     is_involutive_automorphism,
     is_subgroup,
+    orbits_under,
 )
 
 __all__ = [
@@ -161,7 +162,10 @@ def z1_theta(d: InvolutiveGroupData) -> TwistedCocycleSet:
 
 @dataclass(frozen=True)
 class TwistedOrbit:
-    """One orbit of twisted conjugation, with members and stabilizer in G ids."""
+    """One orbit of twisted conjugation, with members and stabilizer in G ids.
+
+    With B = G these are the cocycle classes of ``cohomology.h1``.
+    """
 
     representative: int
     members: tuple[int, ...]
@@ -169,33 +173,17 @@ class TwistedOrbit:
 
 
 def twisted_orbits(d: InvolutiveGroupData) -> list[TwistedOrbit]:
+    """Orbits of B on the cocycles, sorted by their least member, which is
+    the representative."""
     zs = z1_theta(d)
-    g = d.group
-    seen = set()
     out = []
-    for zi, x in enumerate(zs.elements):
-        if zi in seen:
-            continue
-        orbit = {zi}
-        frontier = [zi]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for b in range(zs.b_group.order):
-                    u = zs.action.act(b, t)
-                    if u not in orbit:
-                        orbit.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        seen |= orbit
-        stab = tuple(
-            zs.b_embedding[b] for b in range(zs.b_group.order)
-            if zs.action.act(b, zi) == zi
-        )
+    for orbit in orbits_under(zs.action):
+        r = orbit[0]
         out.append(TwistedOrbit(
-            representative=x,
-            members=tuple(sorted(zs.elements[t] for t in orbit)),
-            stabilizer=stab,
+            representative=zs.elements[r],
+            members=tuple(zs.elements[t] for t in orbit),
+            stabilizer=tuple(zs.b_embedding[b] for b in zs.b_group.elements()
+                             if zs.action.act(b, r) == r),
         ))
     return out
 

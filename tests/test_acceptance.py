@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,10 @@ from grpd.corpus import s3_reflection_fixture, swap_corpus
 from grpd.gamma import swap_comparison
 from grpd.suites import run_all
 from grpd.twisted import parameter_fibration
+
+
+REFERENCE_REPORT = (Path(__file__).resolve().parents[1]
+                    / "bench" / "reference" / "check_seed0_full.txt")
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +119,12 @@ def test_criterion_8_oracle_agreement(battery):
 
 
 def test_criterion_9_reports_are_byte_identical():
-    cmd = [sys.executable, "-m", "grpd.cli", "check", "--seed", "0",
-           "--size", "full"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    cmd = ["-m", "grpd.cli", "check", "--seed", "0", "--size", "full"]
+    a = subprocess.run([sys.executable, *cmd], capture_output=True)
+    # -O strips assert statements, so the invariant checks must not be asserts
+    b = subprocess.run([sys.executable, "-O", *cmd], capture_output=True)
+    saved = REFERENCE_REPORT.read_bytes()
     ok = (a.returncode == 0 and b.returncode == 0
-          and a.stdout == b.stdout and a.stdout != b"")
-    report("criterion 9: check reports are byte-identical per seed", ok)
+          and a.stdout == b.stdout == saved)
+    report("criterion 9: check reports are byte-identical per seed, "
+           "under -O, and to the saved report", ok)

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +54,17 @@ def test_bad_input_is_a_usage_error(tmp_path):
     wrong = write(tmp_path, "wrong.json", build_bg(cyclic_group(2)))
     code, _ = invoke(["h1", wrong])
     assert code == 2
+
+
+def test_validate_reports_a_malformed_diagram_arrow(tmp_path):
+    # the last arrow's object table is one entry short
+    d = nonfiltered_control_diagram()
+    e = d.arrows[3]
+    short = replace(e, map=replace(e.map, obj_map=e.map.obj_map[:-1]))
+    f = write(tmp_path, "short.json", replace(d, arrows=d.arrows[:3] + (short,)))
+    code, out = invoke(["validate", f])
+    assert code == 1
+    assert "arrow 3: shape" in out
 
 
 def test_hfp_text_and_json(tmp_path):

@@ -13,7 +13,13 @@ from grpd.colimit import (
     validate_category,
     validate_diagram,
 )
-from grpd.core import GroupoidMap, discrete_groupoid, validate_functor
+from grpd.core import (
+    GroupoidMap,
+    InvariantViolation,
+    discrete_groupoid,
+    identity_map,
+    validate_functor,
+)
 from grpd.corpus import nonfiltered_control_diagram, random_filtered_diagram
 from grpd.gamma import EquivariantMap, set_as_groupoid, trivial_action
 
@@ -27,6 +33,10 @@ def two_chain():
         id_of=(0, 1),
         comp={(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2},
     )
+
+
+def identity_arrow(a):
+    return EquivariantMap(identity_map(a.carrier), a, a)
 
 
 def test_two_chain_is_a_filtered_category():
@@ -148,3 +158,26 @@ def test_colimit_groupoids_over_a_point():
     res = colimit_groupoids(cat, [g], [GroupoidMap(g, g, (0, 1, 2), (0, 1, 2))])
     assert res.groupoid.n_objects == 3
     assert res.cocones[0].obj_map == (0, 1, 2)
+
+
+def test_validate_diagram_skips_equivariance_on_a_malformed_arrow():
+    # the arrow along u has an object table one entry short
+    a = set_as_groupoid((1, 0))
+    short = EquivariantMap(GroupoidMap(a.carrier, a.carrier, (0,), (0, 1)), a, a)
+    d = FilteredDiagram(index=two_chain(), nodes=(a, a),
+                        arrows=(identity_arrow(a), identity_arrow(a), short))
+    report = validate_diagram(d)
+    assert report
+    assert all(line.startswith("arrow 2: shape") for line in report)
+
+
+def test_colimit_rejects_a_non_equivariant_arrow():
+    # the identity of the two-point set does not intertwine the swap with the
+    # trivial involution, so no involution is induced on the colimit
+    a, b = set_as_groupoid((1, 0)), set_as_groupoid((0, 1))
+    d = FilteredDiagram(
+        index=two_chain(), nodes=(a, b),
+        arrows=(identity_arrow(a), identity_arrow(b),
+                EquivariantMap(identity_map(a.carrier), a, b)))
+    with pytest.raises(InvariantViolation, match="induced involution"):
+        colimit(d)

@@ -5,7 +5,10 @@ import pytest
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
     GroupoidMap,
+    InvariantViolation,
     build_bg,
+    discrete_groupoid,
+    identity_map,
     build_eg,
     is_fibration,
     is_weak_equivalence,
@@ -199,6 +202,20 @@ def test_validate_presheaf_catches_broken_functoriality():
     x = GroupoidPresheaf(site=s, sections=(z4, z4, z4),
                          res={(1, 0): ident, (2, 0): inv, (2, 1): ident})
     assert validate_presheaf(x) != []
+
+
+def test_stalk_rejects_a_non_functorial_presheaf():
+    # {a,b,c} -> {a,b} -> {a} swaps the two points while {a,b,c} -> {a}
+    # keeps them, so the germs identify both points of the section at {a}
+    site = site_from_open_sets(("a", "b", "c"), [
+        frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})])
+    two = discrete_groupoid(2)
+    res = {pair: identity_map(two) for pair in site.comparable_pairs()}
+    res[(2, 1)] = GroupoidMap(two, two, (1, 0), (1, 0))
+    x = GroupoidPresheaf(site=site, sections=(two,) * 4, res=res)
+    assert validate_presheaf(x) != []
+    with pytest.raises(InvariantViolation, match="least open"):
+        stalk(x, 0)
 
 
 def test_group_presheaf_towers():
