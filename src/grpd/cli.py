@@ -72,9 +72,6 @@ def _validation_report(obj) -> list:
     if isinstance(obj, FiniteGroup):
         return validate_group(obj)
     if isinstance(obj, GammaAction):
-        report = validate_groupoid(obj.carrier)
-        if report:
-            return [f"carrier {line}" for line in report]
         return validate_gamma_action(obj)
     if isinstance(obj, GroupGammaAction):
         return validate_group(obj.group) or validate_group_gamma_action(obj)

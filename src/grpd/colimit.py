@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import FiniteGroupoid, GroupoidMap, InvariantViolation, union_offsets
+from .core import FiniteGroupoid, GroupoidMap, InvariantViolation, _category_report, union_offsets
 from .gamma import EquivariantMap, GammaAction, HomotopyFixedPoints, hfp, hfp_map
 from .util import UnionFind
 
@@ -73,42 +73,8 @@ class FiniteCategory:
 
 
 def validate_category(c: FiniteCategory) -> list[str]:
-    report = []
-    n, m = c.n_objects, c.n_arrows
-    if len(c.tgt) != m or len(c.id_of) != n:
-        report.append("shape: tables have inconsistent lengths")
-        return report
-    if any(not 0 <= x < n for x in c.src + c.tgt):
-        report.append("shape: src/tgt out of range")
-        return report
-    for i in c.objects():
-        e = c.id_of[i]
-        if not 0 <= e < m or c.src[e] != i or c.tgt[e] != i:
-            report.append(f"identity: id_of[{i}]")
-    for (u, v), w in c.comp.items():
-        if c.tgt[u] != c.src[v]:
-            report.append(f"composition-domain: ({u},{v}) is not composable")
-        elif c.src[w] != c.src[u] or c.tgt[w] != c.tgt[v]:
-            report.append(f"composition: comp({u},{v}) has wrong endpoints")
-    for u in c.arrows():
-        for v in c.arrows():
-            if c.tgt[u] == c.src[v] and (u, v) not in c.comp:
-                report.append(f"composition-domain: missing entry for ({u},{v})")
-    if report:
-        return report
-    for u in c.arrows():
-        if c.comp[(c.id_of[c.src[u]], u)] != u or c.comp[(u, c.id_of[c.tgt[u]])] != u:
-            report.append(f"unit: arrow {u}")
-    for u in c.arrows():
-        for v in c.arrows():
-            if c.tgt[u] != c.src[v]:
-                continue
-            for w in c.arrows():
-                if c.tgt[v] != c.src[w]:
-                    continue
-                if c.comp[(c.comp[(u, v)], w)] != c.comp[(u, c.comp[(v, w)])]:
-                    report.append(f"associativity: ({u},{v},{w})")
-    return report
+    """The category axioms, one violation per line; empty means valid."""
+    return _category_report(c.n_objects, c.src, c.tgt, c.id_of, c.comp)
 
 
 def filtered_witness(c: FiniteCategory) -> Optional[str]:
@@ -158,6 +124,8 @@ def validate_diagram(d: FilteredDiagram) -> list[str]:
         f"node {i}: {line}" for i, a in enumerate(d.nodes)
         for line in validate_gamma_action(a)
     )
+    if report:
+        return report
     for u in c.arrows():
         e = d.arrows[u]
         if e.dom_action is not d.nodes[c.src[u]] and e.dom_action != d.nodes[c.src[u]]:

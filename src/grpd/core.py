@@ -4,6 +4,9 @@ Objects and morphisms are dense integer ids.  Composition is stored
 diagrammatically: ``comp[(m1, m2)]`` is "m1 then m2" and is defined exactly
 when ``tgt[m1] == src[m2]``.  Everything is finite and explicit; validation
 returns reports rather than trusting constructors.
+
+A groupoid is a category whose arrows are invertible, so ``validate_groupoid``
+and ``colimit.validate_category`` share one checker, ``_category_report``.
 """
 
 from __future__ import annotations
@@ -133,58 +136,76 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(objects={self.n_objects}, morphisms={self.n_morphisms})"
 
 
-def validate_groupoid(g: FiniteGroupoid) -> list[str]:
-    """All groupoid axioms, reported one violation per line; empty means valid."""
-    report = []
-    n, m = g.n_objects, g.n_morphisms
-    if len(g.tgt) != m or len(g.inv) != m or len(g.id_of) != n:
-        report.append("shape: src/tgt/inv/id tables have inconsistent lengths")
-        return report
-    if any(not 0 <= x < n for x in g.src) or any(not 0 <= x < n for x in g.tgt):
-        report.append("shape: src/tgt entry out of range")
-        return report
-    if any(not 0 <= k < m for k in g.id_of) or any(not 0 <= k < m for k in g.inv):
-        report.append("shape: id/inv entry out of range")
-        return report
-    for x in g.objects():
-        e = g.id_of[x]
-        if g.src[e] != x or g.tgt[e] != x:
-            report.append(f"identity: id_of[{x}] is not an endomorphism of {x}")
-    for (m1, m2), m3 in g.comp.items():
+def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
+    """Category axioms, one violation per line, in order: table shapes, the
+    range of every composition entry, identities, non-composable and missing
+    composites (any of these ends the report), unit laws, the inverse laws of
+    an in-range ``inv`` table if one is given, associativity.  Pairs and
+    triples are walked through the arrows out of each object."""
+    n, m = n_objects, len(src)
+    if len(tgt) != m or len(id_of) != n:
+        return ["shape: src/tgt/id tables have inconsistent lengths"]
+    if any(not 0 <= x < n for x in src) or any(not 0 <= x < n for x in tgt):
+        return ["shape: src/tgt entry out of range"]
+    if any(not 0 <= k < m for k in id_of):
+        return ["shape: id entry out of range"]
+    for (m1, m2), m3 in comp.items():
         if not (0 <= m1 < m and 0 <= m2 < m and 0 <= m3 < m):
-            report.append(f"composition-domain: entry ({m1},{m2}) out of range")
-            return report
-        if g.tgt[m1] != g.src[m2]:
+            return [f"composition-domain: entry ({m1},{m2}) out of range"]
+    report = []
+    for x in range(n):
+        if src[id_of[x]] != x or tgt[id_of[x]] != x:
+            report.append(f"identity: id_of[{x}] is not an endomorphism of {x}")
+    for (m1, m2), m3 in comp.items():
+        if tgt[m1] != src[m2]:
             report.append(f"composition-domain: ({m1},{m2}) is not composable")
-        elif g.src[m3] != g.src[m1] or g.tgt[m3] != g.tgt[m2]:
+        elif src[m3] != src[m1] or tgt[m3] != tgt[m2]:
             report.append(f"composition: comp({m1},{m2}) has wrong endpoints")
-    for m1 in g.morphisms():
-        for m2 in g.morphisms():
-            if g.tgt[m1] == g.src[m2] and (m1, m2) not in g.comp:
+    out_of = [[] for _ in range(n)]
+    for k in range(m):
+        out_of[src[k]].append(k)
+    for m1 in range(m):
+        for m2 in out_of[tgt[m1]]:
+            if (m1, m2) not in comp:
                 report.append(f"composition-domain: missing entry for ({m1},{m2})")
     if report:
         return report
-    for k in g.morphisms():
-        if g.comp[(g.id_of[g.src[k]], k)] != k:
+    for k in range(m):
+        if comp[(id_of[src[k]], k)] != k:
             report.append(f"unit: id . {k} != {k}")
-        if g.comp[(k, g.id_of[g.tgt[k]])] != k:
+        if comp[(k, id_of[tgt[k]])] != k:
             report.append(f"unit: {k} . id != {k}")
-    for k in g.morphisms():
-        if g.comp[(k, g.inv[k])] != g.id_of[g.src[k]]:
-            report.append(f"inverse: {k} then inv({k}) is not the identity")
-        if g.comp[(g.inv[k], k)] != g.id_of[g.tgt[k]]:
-            report.append(f"inverse: inv({k}) then {k} is not the identity")
-    for m1 in g.morphisms():
-        for m2 in g.morphisms():
-            if g.tgt[m1] != g.src[m2]:
+    if inv is not None:
+        for k in range(m):
+            if src[inv[k]] != tgt[k] or tgt[inv[k]] != src[k]:
+                report.append(f"inverse: inv({k}) has wrong endpoints")
                 continue
-            left = g.comp[(m1, m2)]
-            for m3 in g.morphisms():
-                if g.tgt[m2] != g.src[m3]:
-                    continue
-                if g.comp[(left, m3)] != g.comp[(m1, g.comp[(m2, m3)])]:
+            if comp[(k, inv[k])] != id_of[src[k]]:
+                report.append(f"inverse: {k} then inv({k}) is not the identity")
+            if comp[(inv[k], k)] != id_of[tgt[k]]:
+                report.append(f"inverse: inv({k}) then {k} is not the identity")
+    for m1 in range(m):
+        for m2 in out_of[tgt[m1]]:
+            left = comp[(m1, m2)]
+            for m3 in out_of[tgt[m2]]:
+                if comp[(left, m3)] != comp[(m1, comp[(m2, m3)])]:
                     report.append(f"associativity: ({m1},{m2},{m3})")
     return report
+
+
+def validate_groupoid(g: FiniteGroupoid) -> list[str]:
+    """All groupoid axioms, reported one violation per line; empty means valid.
+    Label tables come first, then the ``inv`` table, then the shared checker."""
+    report = [f"labels: {name} has {len(labels)} entries, expected {size}"
+              for name, labels, size in (("obj_labels", g.obj_labels, g.n_objects),
+                                         ("mor_labels", g.mor_labels, g.n_morphisms))
+              if labels is not None and len(labels) != size]
+    m = g.n_morphisms
+    if len(g.inv) != m:
+        return report + ["shape: inv table has the wrong length"]
+    if any(not 0 <= k < m for k in g.inv):
+        return report + ["shape: inv entry out of range"]
+    return report + _category_report(g.n_objects, g.src, g.tgt, g.id_of, g.comp, g.inv)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ exhaustive verifiers.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Optional, Sequence
 
@@ -17,6 +18,7 @@ from .colimit import FilteredDiagram, FiniteCategory
 from .core import (
     FiniteGroupoid,
     GroupoidMap,
+    InvariantViolation,
     build_action_groupoid,
     build_bg,
     build_eg,
@@ -95,18 +97,23 @@ __all__ = [
 S3_TRANSPOSITION = 2
 
 
+@functools.cache
+def _catalog_groups() -> tuple[tuple[str, FiniteGroup], ...]:
+    return (
+        ("1", trivial_group()),
+        ("Z2", cyclic_group(2)),
+        ("Z3", cyclic_group(3)),
+        ("Z4", cyclic_group(4)),
+        ("Z6", cyclic_group(6)),
+        ("V4", direct_product(cyclic_group(2), cyclic_group(2))),
+        ("S3", symmetric_group(3)),
+        ("D4", dihedral_group(4)),
+        ("GL2F2", gl2_f2()),
+    )
+
+
 def group_catalog() -> dict:
-    return {
-        "1": trivial_group(),
-        "Z2": cyclic_group(2),
-        "Z3": cyclic_group(3),
-        "Z4": cyclic_group(4),
-        "Z6": cyclic_group(6),
-        "V4": direct_product(cyclic_group(2), cyclic_group(2)),
-        "S3": symmetric_group(3),
-        "D4": dihedral_group(4),
-        "GL2F2": gl2_f2(),
-    }
+    return dict(_catalog_groups())
 
 
 def transpose_inverse(g: FiniteGroup) -> tuple[int, ...]:
@@ -125,6 +132,7 @@ def v4_swap() -> tuple[int, ...]:
     return tuple(y * 2 + x for x, y in (divmod(e, 2) for e in range(4)))
 
 
+@functools.cache
 def gamma_group_fixtures() -> tuple[GroupGammaAction, ...]:
     """Named (group, involutive automorphism) pairs; twelve of them."""
     cat = group_catalog()
@@ -145,10 +153,13 @@ def gamma_group_fixtures() -> tuple[GroupGammaAction, ...]:
         GroupGammaAction(gl, transpose_inverse(gl)),
     )
     for a in fixtures:
-        assert is_involutive_automorphism(a.group, a.bar)
+        if not is_involutive_automorphism(a.group, a.bar):
+            raise InvariantViolation(
+                f"fixture bar on {a.group.name} is not an involutive automorphism")
     return fixtures
 
 
+@functools.cache
 def involutive_fixtures() -> tuple[InvolutiveGroupData, ...]:
     """(G, theta, B) triples with B a theta-stable subgroup."""
     cat = group_catalog()
@@ -173,7 +184,9 @@ def involutive_fixtures() -> tuple[InvolutiveGroupData, ...]:
         InvolutiveGroupData(gl, identity_automorphism(gl), gl2_f2_upper_triangular(gl)),
     )
     for d in fixtures:
-        assert not validate_involutive_data(d)
+        report = validate_involutive_data(d)
+        if report:
+            raise InvariantViolation(f"fixture on {d.group.name}: {report[0]}")
     return fixtures
 
 
@@ -190,7 +203,8 @@ def eg_gamma_action(g: FiniteGroup, theta: Optional[Sequence[int]] = None) -> Ga
     if theta is None:
         theta = identity_automorphism(g)
     theta = tuple(theta)
-    assert is_involutive_automorphism(g, theta)
+    if not is_involutive_automorphism(g, theta):
+        raise ValueError(f"theta is not an involutive automorphism of {g.name}")
     e = build_eg(g)
     n = g.order
     bar_mor = tuple(theta[m // n] * n + theta[m % n] for m in range(n * n))
@@ -254,7 +268,8 @@ def small_groupoid_catalog() -> tuple[FiniteGroupoid, ...]:
         disjoint_union([build_bg(cat["Z2"]), build_bg(cat["Z2"])]),
         disjoint_union([build_eg(cat["Z2"]), terminal_groupoid()]),
     )
-    assert all(g.n_morphisms <= 12 for g in out)
+    if any(g.n_morphisms > 12 for g in out):
+        raise InvariantViolation("a small catalog groupoid has more than twelve morphisms")
     return out
 
 
@@ -722,9 +737,11 @@ def skyscraper_presheaf_action(site: FiniteSite, t: int, a: GammaAction) -> Pres
             res[(u, v)] = GroupoidMap(a.carrier, point.carrier,
                                       (0,) * a.carrier.n_objects,
                                       (0,) * a.carrier.n_morphisms)
-        else:
+        elif secs[v] is not point:
             # v below u and t in v would force t in u
-            assert secs[v] is point
+            raise InvariantViolation(
+                f"open {v} contains point {t} but lies below open {u}, which does not")
+        else:
             res[(u, v)] = identity_map(point.carrier)
     x = GroupoidPresheaf(site=site, sections=tuple(s.carrier for s in secs), res=res)
     return PresheafGammaAction(x, tuple(secs))

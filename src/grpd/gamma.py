@@ -18,9 +18,12 @@ from typing import Optional, Sequence
 from .core import (
     FiniteGroupoid,
     GroupoidMap,
+    InvariantViolation,
     discrete_groupoid,
     is_weak_equivalence,
     product,
+    validate_functor,
+    validate_groupoid,
 )
 
 __all__ = [
@@ -62,35 +65,24 @@ class GammaAction:
 
 
 def validate_gamma_action(a: GammaAction) -> list[str]:
+    """The carrier's groupoid axioms (lines prefixed ``carrier ``; a bad carrier
+    ends the report), then bar: permutations squaring to the identity that
+    form a functor from the carrier to itself.  Empty means valid."""
     g = a.carrier
-    report = []
+    report = [f"carrier {line}" for line in validate_groupoid(g)]
+    if report:
+        return report
     if len(a.bar_obj) != g.n_objects or len(a.bar_mor) != g.n_morphisms:
-        report.append("shape: bar tables do not match the carrier")
-        return report
+        return ["shape: bar tables do not match the carrier"]
     if sorted(a.bar_obj) != list(g.objects()) or sorted(a.bar_mor) != list(g.morphisms()):
-        report.append("shape: bar tables are not permutations")
-        return report
+        return ["shape: bar tables are not permutations"]
     for x in g.objects():
         if a.bar_obj[a.bar_obj[x]] != x:
             report.append(f"involution: object {x}")
     for m in g.morphisms():
         if a.bar_mor[a.bar_mor[m]] != m:
             report.append(f"involution: morphism {m}")
-    for m in g.morphisms():
-        bm = a.bar_mor[m]
-        if g.src[bm] != a.bar_obj[g.src[m]] or g.tgt[bm] != a.bar_obj[g.tgt[m]]:
-            report.append(f"src/tgt: morphism {m}")
-        if a.bar_mor[g.inv[m]] != g.inv[bm]:
-            report.append(f"inverse: morphism {m}")
-    for x in g.objects():
-        if a.bar_mor[g.id_of[x]] != g.id_of[a.bar_obj[x]]:
-            report.append(f"identity: object {x}")
-    for (m1, m2), m3 in g.comp.items():
-        key = (a.bar_mor[m1], a.bar_mor[m2])
-        if key not in g.comp:
-            report.append(f"composition: bar image of ({m1},{m2}) is not composable")
-        elif g.comp[key] != a.bar_mor[m3]:
-            report.append(f"composition: ({m1},{m2})")
+    report.extend(validate_functor(GroupoidMap(g, g, a.bar_obj, a.bar_mor)))
     return report
 
 
@@ -176,30 +168,27 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
             for alpha in g.hom(o.base, o1.base):
                 if g.comp[(alpha, o1.phi)] == g.comp[(o.phi, a.bar_mor[alpha])]:
                     key = (i, alpha)
-                    assert key not in mor_index, "phi1 is determined by (phi, alpha)"
+                    if key in mor_index:
+                        raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
+                                                 "reaches two fixed points")
                     mor_index[key] = len(src)
                     src.append(i)
                     tgt.append(j)
                     underlying.append(alpha)
 
-    id_of = []
-    for i, o in enumerate(objs):
-        key = (i, g.id_of[o.base])
-        assert key in mor_index, "identities satisfy the fixed-point condition"
-        id_of.append(mor_index[key])
-    inv = []
-    for m in range(len(src)):
-        key = (tgt[m], g.inv[underlying[m]])
-        assert key in mor_index, "inverses satisfy the fixed-point condition"
-        inv.append(mor_index[key])
-    comp = {}
-    for m1 in range(len(src)):
-        for m2 in range(len(src)):
-            if tgt[m1] != src[m2]:
-                continue
-            key = (src[m1], g.comp[(underlying[m1], underlying[m2])])
-            assert key in mor_index, "composites satisfy the fixed-point condition"
-            comp[(m1, m2)] = mor_index[key]
+    # a carrier that is a groupoid makes every lookup below succeed
+    try:
+        id_of = [mor_index[(i, g.id_of[o.base])] for i, o in enumerate(objs)]
+        inv = [mor_index[(tgt[m], g.inv[underlying[m]])] for m in range(len(src))]
+        comp = {}
+        for m1 in range(len(src)):
+            for m2 in range(len(src)):
+                if tgt[m1] == src[m2]:
+                    comp[(m1, m2)] = mor_index[
+                        (src[m1], g.comp[(underlying[m1], underlying[m2])])]
+    except KeyError as exc:
+        raise InvariantViolation(f"no fixed-point arrow or composite for {exc.args[0]}: "
+                                 "the carrier is not a groupoid") from exc
 
     groupoid = FiniteGroupoid(
         len(objs), src, tgt, id_of, inv, comp,

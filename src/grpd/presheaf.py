@@ -6,7 +6,8 @@ least open containing it.  Presheaves are strict functors; stalks are
 computed as genuine filtered colimits over the neighborhood filter, which for
 principal filters must agree with the section at the least open; a stalk
 that disagrees raises ``InvariantViolation``, as do induced stalk maps and
-involutions whose germs disagree.
+involutions whose germs disagree.  Presheaves of groups or of group actions
+have no type here: their action groupoids, open by open, form a presheaf.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from .core import (
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
-    build_action_groupoid,
-    action_mor,
     identity_map,
     is_fibration,
     is_weak_equivalence,
     terminal_groupoid,
     validate_functor,
+    validate_groupoid,
 )
 from .gamma import (
     EquivariantMap,
@@ -42,15 +42,12 @@ from .gamma import (
     hfp,
     hfp_map,
 )
-from .groups import FiniteGroup, GroupAction, validate_action, validate_group
 
 __all__ = [
     "FiniteSite",
     "GroupoidPresheaf",
     "PresheafMap",
     "PresheafGammaAction",
-    "GroupPresheaf",
-    "ActionPresheaf",
     "Stalk",
     "PresheafHfp",
     "validate_site",
@@ -59,8 +56,6 @@ __all__ = [
     "validate_presheaf",
     "validate_presheaf_map",
     "validate_presheaf_gamma_action",
-    "validate_group_presheaf",
-    "validate_action_presheaf",
     "terminal_presheaf",
     "constant_presheaf",
     "point_filter_category",
@@ -74,9 +69,6 @@ __all__ = [
     "is_local_fib",
     "presheaf_hfp",
     "stalk_commutation_check",
-    "build_presheaf_action_groupoid",
-    "eg_action_presheaf",
-    "bg_action_presheaf",
 ]
 
 
@@ -216,10 +208,13 @@ class GroupoidPresheaf:
 
 
 def validate_presheaf(x: GroupoidPresheaf) -> list[str]:
-    report = []
+    """Sections, then restriction functors, then functoriality; empty means valid."""
     s = x.site
     if len(x.sections) != s.n_opens:
-        report.append("shape: one section per open expected")
+        return ["shape: one section per open expected"]
+    report = [f"section {u}: {line}" for u, g in enumerate(x.sections)
+              for line in validate_groupoid(g)]
+    if report:
         return report
     pairs = set(s.comparable_pairs())
     if set(x.res) != pairs:
@@ -457,130 +452,3 @@ def stalk_commutation_check(a: PresheafGammaAction, t: int) -> ColimitComparison
     """Compare the stalk of the fixed point presheaf with the fixed points of
     the stalk, over the neighborhood filter of the point."""
     return hfp_colimit_comparison(diagram_at_point(a, t))
-
-
-@dataclass(frozen=True)
-class GroupPresheaf:
-    """A presheaf of finite groups: groups per open, homomorphisms downward."""
-
-    site: FiniteSite
-    groups: tuple[FiniteGroup, ...]
-    res: dict = field(hash=False)
-
-
-def validate_group_presheaf(g: GroupPresheaf) -> list[str]:
-    report = []
-    s = g.site
-    if len(g.groups) != s.n_opens:
-        report.append("shape: one group per open expected")
-        return report
-    for u in s.opens():
-        report.extend(f"group {u}: {line}" for line in validate_group(g.groups[u]))
-    pairs = set(s.comparable_pairs())
-    if set(g.res) != pairs:
-        report.append("shape: restriction keys must be the strictly comparable pairs")
-        return report
-    for (u, v), h in g.res.items():
-        gu, gv = g.groups[u], g.groups[v]
-        if len(h) != gu.order or any(not 0 <= y < gv.order for y in h):
-            report.append(f"restriction ({u},{v}): not a map of element sets")
-            continue
-        if h[gu.identity] != gv.identity:
-            report.append(f"restriction ({u},{v}): identity not preserved")
-        for p in gu.elements():
-            for q in gu.elements():
-                if h[gu.mul(p, q)] != gv.mul(h[p], h[q]):
-                    report.append(f"restriction ({u},{v}): not a homomorphism at ({p},{q})")
-    if report:
-        return report
-    for (u, v) in pairs:
-        for w in s.opens():
-            if w != v and w != u and s.is_leq(w, v):
-                left = tuple(g.res[(v, w)][y] for y in g.res[(u, v)])
-                if left != g.res[(u, w)]:
-                    report.append(f"functoriality: ({u},{v},{w})")
-    return report
-
-
-@dataclass(frozen=True)
-class ActionPresheaf:
-    """Sets with group action, presheaf-wise: the groups restrict, the sets
-    restrict, and the two restrictions intertwine the actions."""
-
-    groups: GroupPresheaf
-    actions: tuple[GroupAction, ...]
-    set_res: dict = field(hash=False)
-
-
-def validate_action_presheaf(a: ActionPresheaf) -> list[str]:
-    report = list(validate_group_presheaf(a.groups))
-    if report:
-        return report
-    s = a.groups.site
-    if len(a.actions) != s.n_opens:
-        report.append("shape: one action per open expected")
-        return report
-    for u in s.opens():
-        if a.actions[u].group != a.groups.groups[u]:
-            report.append(f"action {u}: group mismatch")
-            continue
-        report.extend(f"action {u}: {line}" for line in validate_action(a.actions[u]))
-    if report:
-        return report
-    for (u, v) in s.comparable_pairs():
-        r = a.set_res[(u, v)]
-        if len(r) != a.actions[u].n_points or any(
-                not 0 <= y < a.actions[v].n_points for y in r):
-            report.append(f"set restriction ({u},{v}): not a map of carriers")
-            continue
-        h = a.groups.res[(u, v)]
-        for g_elem in a.groups.groups[u].elements():
-            for x in range(a.actions[u].n_points):
-                if r[a.actions[u].act(g_elem, x)] != a.actions[v].act(h[g_elem], r[x]):
-                    report.append(f"compatibility ({u},{v}): ({g_elem},{x})")
-    if report:
-        return report
-    for (u, v) in s.comparable_pairs():
-        for w in s.opens():
-            if w != v and w != u and s.is_leq(w, v):
-                left = tuple(a.set_res[(v, w)][y] for y in a.set_res[(u, v)])
-                if left != a.set_res[(u, w)]:
-                    report.append(f"set functoriality: ({u},{v},{w})")
-    return report
-
-
-def build_presheaf_action_groupoid(a: ActionPresheaf) -> GroupoidPresheaf:
-    """Action groupoids open by open, with the induced restriction functors."""
-    s = a.groups.site
-    sections = tuple(build_action_groupoid(a.actions[u]) for u in s.opens())
-    res = {}
-    for (u, v) in s.comparable_pairs():
-        au, av = a.actions[u], a.actions[v]
-        h = a.groups.res[(u, v)]
-        r = a.set_res[(u, v)]
-        obj_map = tuple(r)
-        mor_map = tuple(
-            action_mor(av, h[g_elem], r[x])
-            for g_elem in a.groups.groups[u].elements()
-            for x in range(au.n_points)
-        )
-        res[(u, v)] = GroupoidMap(sections[u], sections[v], obj_map, mor_map)
-    return GroupoidPresheaf(site=s, sections=sections, res=res)
-
-
-def eg_action_presheaf(g: GroupPresheaf) -> ActionPresheaf:
-    """Each group acting on itself by left multiplication, restricted along
-    the group homomorphisms."""
-    from .groups import left_multiplication_action
-
-    actions = tuple(left_multiplication_action(g.groups[u]) for u in g.site.opens())
-    set_res = {pair: tuple(h) for pair, h in g.res.items()}
-    return ActionPresheaf(groups=g, actions=actions, set_res=set_res)
-
-
-def bg_action_presheaf(g: GroupPresheaf) -> ActionPresheaf:
-    from .groups import trivial_point_action
-
-    actions = tuple(trivial_point_action(g.groups[u]) for u in g.site.opens())
-    set_res = {pair: (0,) for pair in g.site.comparable_pairs()}
-    return ActionPresheaf(groups=g, actions=actions, set_res=set_res)

@@ -73,7 +73,9 @@ def validate_involutive_data(d: InvolutiveGroupData) -> list[str]:
         return report
     if not is_involutive_automorphism(g, d.theta):
         report.append("involution: theta is not an involutive automorphism")
-    if not is_subgroup(g, d.b_elements):
+    if any(not 0 <= b < g.order for b in d.b_elements):
+        report.append("shape: B element out of range")
+    elif not is_subgroup(g, d.b_elements):
         report.append("subgroup: B is not a subgroup")
     elif any(d.theta[b] not in set(d.b_elements) for b in d.b_elements):
         report.append("stability: theta does not preserve B")
@@ -333,7 +335,8 @@ def parameter_fibration(d: InvolutiveGroupData) -> ParameterFibration:
     obj_map = []
     for o in fp.objects:
         pair, base = action_mor_parts(dc.action, o.phi)
-        assert base == o.base
+        if base != o.base:
+            raise InvariantViolation(f"fixed point at {o.base} has phi starting at {base}")
         i, _ = divmod(pair, nb)
         z = g.mul(emb[i], o.base)
         obj_map.append(z_index[z])

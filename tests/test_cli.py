@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from grpd.cli import run
+from grpd.colimit import FilteredDiagram, FiniteCategory
 from grpd.corpus import (
+    constant_presheaf_action,
     corrupted_bg_z2,
     eg_gamma_action,
     gamma_group_fixtures,
@@ -15,10 +17,12 @@ from grpd.corpus import (
     skyscraper_presheaf_action,
 )
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
-from grpd.core import build_bg
+from grpd.core import FiniteGroupoid, GroupoidMap, build_bg, identity_map
+from grpd.gamma import EquivariantMap, trivial_action
 from grpd.groups import cyclic_group
 from grpd.jsonio import dumps, load_groupoid
-from grpd.presheaf import sierpinski_site
+from grpd.twisted import InvolutiveGroupData
+from grpd.presheaf import GroupoidPresheaf, PresheafGammaAction, sierpinski_site
 
 
 def invoke(argv):
@@ -65,6 +69,89 @@ def test_validate_reports_a_malformed_diagram_arrow(tmp_path):
     code, out = invoke(["validate", f])
     assert code == 1
     assert "arrow 3: shape" in out
+
+
+def write_json(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def one_node_diagram(a):
+    index = FiniteCategory(1, (0,), (0,), (0,), {(0, 0): 0})
+    return FilteredDiagram(index, (a,), (EquivariantMap(identity_map(a.carrier), a, a),))
+
+
+def bz2_without_a_composite():
+    g = build_bg(cyclic_group(2))
+    comp = {k: v for k, v in g.comp.items() if k != (1, 1)}
+    return FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, comp)
+
+
+# ``invoke`` lets an exception through, so each case below also shows that
+# validate prints no traceback
+
+
+def test_validate_checks_the_carrier_of_a_diagram_node(tmp_path):
+    f = write(tmp_path, "one.json", one_node_diagram(trivial_action(corrupted_bg_z2())))
+    code, out = invoke(["validate", f])
+    assert code == 1
+    assert "node 0: carrier inverse: 1 then inv(1) is not the identity\n" in out
+
+    # an arrow into a node whose carrier lacks a composite
+    a = trivial_action(build_bg(cyclic_group(2)))
+    b = trivial_action(bz2_without_a_composite())
+    index = FiniteCategory(2, (0, 1, 0), (0, 1, 1), (0, 1),
+                           {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2})
+    into_b = GroupoidMap(a.carrier, b.carrier, (0,), (0, 1))
+    d = FilteredDiagram(index, (a, b), (EquivariantMap(identity_map(a.carrier), a, a),
+                                        EquivariantMap(identity_map(b.carrier), b, b),
+                                        EquivariantMap(into_b, a, b)))
+    code, out = invoke(["validate", write(tmp_path, "two.json", d)])
+    assert (code, out) == (1, "node 1: carrier composition-domain: missing entry "
+                              "for (1,1)\ninvalid: 1 problem(s)\n")
+
+
+def test_validate_checks_the_sections_of_a_presheaf(tmp_path):
+    site = sierpinski_site()
+    a = constant_presheaf_action(site, trivial_action(corrupted_bg_z2()))
+    code, out = invoke(["validate", write(tmp_path, "const.json", a)])
+    assert code == 1
+    assert "section 0: inverse: 1 then inv(1) is not the identity\n" in out
+
+    # restrictions from a good top section into sections lacking a composite
+    good, bad = build_bg(cyclic_group(2)), bz2_without_a_composite()
+    sections = (bad, bad, good)
+    res = {(u, v): GroupoidMap(sections[u], sections[v], (0,), (0, 1))
+           for (u, v) in site.comparable_pairs()}
+    p = PresheafGammaAction(GroupoidPresheaf(site, sections, res),
+                            tuple(trivial_action(g) for g in sections))
+    code, out = invoke(["validate", write(tmp_path, "res.json", p)])
+    assert code == 1
+    assert out.startswith("section 0: composition-domain: missing entry for (1,1)\n")
+
+
+def test_validate_reports_an_index_composite_out_of_range(tmp_path):
+    doc = json.loads(dumps(nonfiltered_control_diagram()))
+    doc["index"]["comp"].append([4, 0, 0])
+    code, out = invoke(["validate", write_json(tmp_path, "index.json", doc)])
+    assert code == 1
+    assert out.startswith("composition-domain: entry (4,0) out of range\n")
+
+
+def test_validate_reports_a_subgroup_element_out_of_range(tmp_path):
+    d = InvolutiveGroupData(cyclic_group(2), (0, 1), (0, 5))
+    code, out = invoke(["validate", write(tmp_path, "tw.json", d)])
+    assert code == 1
+    assert out.startswith("shape: B element out of range\n")
+
+
+def test_validate_reports_labels_of_the_wrong_length(tmp_path):
+    doc = json.loads(dumps(build_bg(cyclic_group(2))))
+    doc["mor_labels"] = ["e"]
+    code, out = invoke(["validate", write_json(tmp_path, "labels.json", doc)])
+    assert code == 1
+    assert out.startswith("labels: mor_labels has 1 entries, expected 2\n")
 
 
 def test_hfp_text_and_json(tmp_path):

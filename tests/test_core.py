@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from grpd.core import (
     terminal_groupoid,
     validate_functor,
     validate_groupoid,
+    FiniteGroupoid,
     GroupoidMap,
 )
 from grpd.corpus import corrupted_bg_z2, small_groupoid_catalog
@@ -47,6 +49,129 @@ def test_corrupted_composition_is_rejected():
     report = validate_groupoid(corrupted_bg_z2())
     assert report != []
     assert any("inverse" in line for line in report)
+
+
+def reference_validate_groupoid(g):
+    """The quantifier-loop validator the shared category checker replaced:
+    every pair and triple of morphisms is scanned and filtered."""
+    report = []
+    n, m = g.n_objects, g.n_morphisms
+    if len(g.tgt) != m or len(g.inv) != m or len(g.id_of) != n:
+        report.append("shape: src/tgt/inv/id tables have inconsistent lengths")
+        return report
+    if any(not 0 <= x < n for x in g.src) or any(not 0 <= x < n for x in g.tgt):
+        report.append("shape: src/tgt entry out of range")
+        return report
+    if any(not 0 <= k < m for k in g.id_of) or any(not 0 <= k < m for k in g.inv):
+        report.append("shape: id/inv entry out of range")
+        return report
+    for x in g.objects():
+        e = g.id_of[x]
+        if g.src[e] != x or g.tgt[e] != x:
+            report.append(f"identity: id_of[{x}] is not an endomorphism of {x}")
+    for (m1, m2), m3 in g.comp.items():
+        if not (0 <= m1 < m and 0 <= m2 < m and 0 <= m3 < m):
+            report.append(f"composition-domain: entry ({m1},{m2}) out of range")
+            return report
+        if g.tgt[m1] != g.src[m2]:
+            report.append(f"composition-domain: ({m1},{m2}) is not composable")
+        elif g.src[m3] != g.src[m1] or g.tgt[m3] != g.tgt[m2]:
+            report.append(f"composition: comp({m1},{m2}) has wrong endpoints")
+    for m1 in g.morphisms():
+        for m2 in g.morphisms():
+            if g.tgt[m1] == g.src[m2] and (m1, m2) not in g.comp:
+                report.append(f"composition-domain: missing entry for ({m1},{m2})")
+    if report:
+        return report
+    for k in g.morphisms():
+        if g.comp[(g.id_of[g.src[k]], k)] != k:
+            report.append(f"unit: id . {k} != {k}")
+        if g.comp[(k, g.id_of[g.tgt[k]])] != k:
+            report.append(f"unit: {k} . id != {k}")
+    for k in g.morphisms():
+        if g.comp[(k, g.inv[k])] != g.id_of[g.src[k]]:
+            report.append(f"inverse: {k} then inv({k}) is not the identity")
+        if g.comp[(g.inv[k], k)] != g.id_of[g.tgt[k]]:
+            report.append(f"inverse: inv({k}) then {k} is not the identity")
+    for m1 in g.morphisms():
+        for m2 in g.morphisms():
+            if g.tgt[m1] != g.src[m2]:
+                continue
+            left = g.comp[(m1, m2)]
+            for m3 in g.morphisms():
+                if g.tgt[m2] != g.src[m3]:
+                    continue
+                if g.comp[(left, m3)] != g.comp[(m1, g.comp[(m2, m3)])]:
+                    report.append(f"associativity: ({m1},{m2},{m3})")
+    return report
+
+
+def mutate(rng, g, kind):
+    """One seeded defect of the given kind, or None if g cannot carry it."""
+    comp, inv = dict(g.comp), list(g.inv)
+    keys = sorted(comp)
+    if kind in ("reassign", "drop") and not keys:
+        return None
+    if kind == "reassign":
+        comp[rng.choice(keys)] = rng.randrange(g.n_morphisms)
+    elif kind == "drop":
+        del comp[rng.choice(keys)]
+    elif kind == "non-composable":
+        pairs = [(a, b) for a in g.morphisms() for b in g.morphisms()
+                 if g.tgt[a] != g.src[b]]
+        if not pairs:
+            return None
+        comp[rng.choice(pairs)] = rng.randrange(g.n_morphisms)
+    else:
+        # within one hom set, so that the reference can look the composites up
+        pairs = [(a, b) for a in g.morphisms() for b in g.morphisms()
+                 if a < b and (g.src[a], g.tgt[a]) == (g.src[b], g.tgt[b])]
+        if not pairs:
+            return None
+        i, j = rng.choice(pairs)
+        inv[i], inv[j] = inv[j], inv[i]
+    return FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, inv, comp)
+
+
+def test_validate_groupoid_agrees_with_the_quantifier_reference():
+    rng = random.Random("validate-groupoid-differential")
+    kinds = ("reassign", "drop", "non-composable", "swap-inv")
+    seen = set()
+    for g in small_groupoid_catalog():
+        if g.n_morphisms == 0:
+            continue
+        for _ in range(6):
+            for kind in kinds:
+                bad = mutate(rng, g, kind)
+                if bad is None:
+                    continue
+                # a second defect of another kind makes longer reports
+                if rng.random() < 0.5:
+                    bad = mutate(rng, bad, rng.choice(kinds)) or bad
+                expected = reference_validate_groupoid(bad)
+                assert validate_groupoid(bad) == expected
+                seen.update(line.split(":")[0] for line in expected)
+    assert {"composition-domain", "composition", "unit", "inverse",
+            "associativity"} <= seen
+
+
+def test_validate_groupoid_reports_an_inverse_with_wrong_endpoints():
+    g = build_eg(cyclic_group(2))
+    inv = list(g.inv)
+    inv[1], inv[3] = inv[3], inv[1]
+    bad = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, inv, g.comp)
+    assert validate_groupoid(bad) == ["inverse: inv(1) has wrong endpoints",
+                                      "inverse: inv(3) has wrong endpoints"]
+
+
+def test_validate_groupoid_reports_labels_of_the_wrong_length():
+    g = build_bg(cyclic_group(2))
+    short = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, g.comp,
+                           obj_labels=("a", "b"), mor_labels=("e",))
+    assert validate_groupoid(short) == [
+        "labels: obj_labels has 2 entries, expected 1",
+        "labels: mor_labels has 1 entries, expected 2",
+    ]
 
 
 def test_builders_shapes():

@@ -4,6 +4,7 @@ import pytest
 
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
+    InvariantViolation,
     build_bg,
     components,
     discrete_groupoid,
@@ -15,7 +16,13 @@ from grpd.core import (
     validate_groupoid,
     GroupoidMap,
 )
-from grpd.corpus import eg_gamma_action, group_catalog, negative_control_map, swap_corpus
+from grpd.corpus import (
+    corrupted_bg_z2,
+    eg_gamma_action,
+    group_catalog,
+    negative_control_map,
+    swap_corpus,
+)
 from grpd.gamma import (
     EquivariantMap,
     NotEquivariantError,
@@ -176,3 +183,23 @@ def test_validate_gamma_action_catches_non_involution():
     assert validate_gamma_action(inversion) == []
     shift = GammaAction(g, (0,), (1, 2, 0))
     assert validate_gamma_action(shift) != []
+
+
+def test_validate_gamma_action_reports_a_bad_carrier():
+    a = trivial_action(corrupted_bg_z2())
+    assert validate_gamma_action(a) == [
+        "carrier inverse: 1 then inv(1) is not the identity",
+        "carrier inverse: inv(1) then 1 is not the identity",
+    ]
+
+
+def test_hfp_of_a_bad_carrier_raises_invariant_violation():
+    # the check must hold under python -O too, so it is not an assert
+    with pytest.raises(InvariantViolation):
+        hfp(trivial_action(corrupted_bg_z2()))
+
+
+def test_eg_gamma_action_rejects_a_non_involution():
+    z3 = cyclic_group(3)
+    with pytest.raises(ValueError, match="involutive"):
+        eg_gamma_action(z3, (0, 2, 2))

@@ -24,16 +24,12 @@ from grpd.corpus import (
     skyscraper_presheaf_action,
 )
 from grpd.gamma import hfp, trivial_action
-from grpd.groups import cyclic_group, symmetric_group
+from grpd.groups import cyclic_group
 from grpd.presheaf import (
     FiniteSite,
-    GroupPresheaf,
     GroupoidPresheaf,
-    bg_action_presheaf,
-    build_presheaf_action_groupoid,
     constant_presheaf,
     diagram_at_point,
-    eg_action_presheaf,
     is_local_fib,
     is_local_weq,
     is_sectionwise_fib,
@@ -47,7 +43,6 @@ from grpd.presheaf import (
     stalk_gamma_action,
     stalk_map,
     terminal_presheaf,
-    validate_group_presheaf,
     validate_presheaf,
     validate_presheaf_gamma_action,
     validate_presheaf_map,
@@ -216,19 +211,6 @@ def test_stalk_rejects_a_non_functorial_presheaf():
     assert validate_presheaf(x) != []
     with pytest.raises(InvariantViolation, match="least open"):
         stalk(x, 0)
-
-
-def test_group_presheaf_towers():
-    s = sierpinski_site()
-    s3 = symmetric_group(3)
-    gp = GroupPresheaf(site=s, groups=(s3, s3, s3),
-                       res={p: tuple(s3.elements())
-                            for p in s.comparable_pairs()})
-    assert validate_group_presheaf(gp) == []
-    for tower, n_obj in ((eg_action_presheaf(gp), 6), (bg_action_presheaf(gp), 1)):
-        x = build_presheaf_action_groupoid(tower)
-        assert validate_presheaf(x) == []
-        assert all(g.n_objects == n_obj for g in x.sections)
 
 
 def test_random_sites_and_presheaves_validate():
