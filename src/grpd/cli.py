@@ -1,9 +1,9 @@
 """Command line access to the validators, invariants, and check suites.
 
 Exit codes: 0 on success, 1 when a validation or check fails, 2 for unusable
-input (bad JSON, wrong document kind, missing file).  All reports are
-deterministic for a fixed input, seed, and size; nothing timing dependent is
-printed.
+input (bad JSON, wrong document kind, missing file, a structure a compute
+command finds broken).  All reports are deterministic for a fixed input, seed,
+and size; nothing timing dependent is printed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from .cohomology import (GroupGammaAction, h1, validate_group_gamma_action, z1)
 from .colimit import (FilteredDiagram, NotFilteredError, filtered_witness,
                       hfp_colimit_comparison, validate_category,
                       validate_diagram)
-from .core import (FiniteGroupoid, components, groupoid_cardinality,
-                   is_fibration, validate_groupoid)
+from .core import (FiniteGroupoid, InvariantViolation, _label_report,
+                   components, groupoid_cardinality, is_fibration,
+                   validate_groupoid)
 from .gamma import GammaAction, hfp, validate_gamma_action
 from .groups import FiniteGroup, validate_group
 from .jsonio import (SchemaError, dump_gamma_action, dump_groupoid,
@@ -321,6 +322,9 @@ def _cmd_export_dot(args, out) -> int:
     else:
         raise SchemaError(
             f"{args.file}: expected a groupoid or gamma-action document")
+    problems = _label_report(g)
+    if problems:
+        raise SchemaError(f"{args.file}: {problems[0]}")
     _emit(args, out, to_dot(g, name=Path(args.file).stem))
     return 0
 
@@ -404,7 +408,7 @@ def run(argv, stdout=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args, out)
-    except SchemaError as exc:
+    except (SchemaError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

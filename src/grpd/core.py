@@ -1,9 +1,13 @@
-"""Finite groupoids with fully tabulated structure maps.
+"""Finite groupoids with tabulated source, target, identity and inverse maps.
 
-Objects and morphisms are dense integer ids.  Composition is stored
-diagrammatically: ``comp[(m1, m2)]`` is "m1 then m2" and is defined exactly
-when ``tgt[m1] == src[m2]``.  Everything is finite and explicit; validation
-returns reports rather than trusting constructors.
+Objects and morphisms are dense integer ids.  Composition is diagrammatic:
+``compose(m1, m2)`` is "m1 then m2" and is defined exactly when
+``tgt[m1] == src[m2]``.  It is given either as a table (documents and
+hand-written fixtures) or as a rule computed from the structure (the action
+groupoids, products and disjoint unions built here, and the fixed points of
+``grpd.gamma``); ``comp``, the full table, is built from a rule on first
+access.  Everything is finite and explicit; validation returns reports rather
+than trusting constructors.
 
 A groupoid is a category whose arrows are invertible, so ``validate_groupoid``
 and ``colimit.validate_category`` share one checker, ``_category_report``.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multiplication_action, orbits_under, quotient_group, trivial_point_action
@@ -71,12 +76,18 @@ class NotFreeError(ValueError):
 class FiniteGroupoid:
     """A finite groupoid: objects 0..n_objects-1, morphisms 0..n_morphisms-1.
 
-    ``id_of[x]`` is the identity at x, ``inv[m]`` the inverse morphism, and
-    ``comp`` the full diagrammatic composition table.  Labels are optional
-    and never take part in equality.
+    ``id_of[x]`` is the identity at x and ``inv[m]`` the inverse morphism.
+    The ``comp`` argument is either a table, a dict from composable pairs to
+    composites, or a rule, a callable ``rule(m1, m2)`` that raises
+    ``KeyError`` on a pair that is not composable, just as a table lookup
+    does.  ``compose(m1, m2)`` reads either; the ``comp`` property is the full
+    table, built from a rule on first access by walking the arrows out of
+    each object, and read by ``compose`` from then on, since a lookup is
+    faster than a nested rule.  Labels are optional and never take part in
+    equality.
     """
 
-    __slots__ = ("n_objects", "src", "tgt", "id_of", "inv", "comp",
+    __slots__ = ("n_objects", "src", "tgt", "id_of", "inv", "compose", "_comp",
                  "obj_labels", "mor_labels", "_hom")
 
     def __init__(self, n_objects, src, tgt, id_of, inv, comp,
@@ -86,10 +97,29 @@ class FiniteGroupoid:
         self.tgt = tuple(tgt)
         self.id_of = tuple(id_of)
         self.inv = tuple(inv)
-        self.comp = dict(comp)
+        if callable(comp):
+            self._comp = None
+            self.compose = comp
+        else:
+            self._use_table(dict(comp))
         self.obj_labels = None if obj_labels is None else tuple(obj_labels)
         self.mor_labels = None if mor_labels is None else tuple(mor_labels)
         self._hom = None
+
+    def _use_table(self, table: dict) -> None:
+        self._comp = table
+        self.compose = lambda m1, m2: table[(m1, m2)]
+
+    @property
+    def comp(self) -> dict:
+        if self._comp is None:
+            out_of = _arrows_out(self.n_objects, self.src)
+            table = {}
+            for m1, y in enumerate(self.tgt):
+                table.update(zip(zip(repeat(m1), out_of[y]),
+                                 map(self.compose, repeat(m1), out_of[y])))
+            self._use_table(table)
+        return self._comp
 
     @property
     def n_morphisms(self) -> int:
@@ -100,9 +130,6 @@ class FiniteGroupoid:
 
     def morphisms(self) -> range:
         return range(self.n_morphisms)
-
-    def compose(self, m1: int, m2: int) -> int:
-        return self.comp[(m1, m2)]
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         if self._hom is None:
@@ -136,6 +163,14 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(objects={self.n_objects}, morphisms={self.n_morphisms})"
 
 
+def _arrows_out(n_objects: int, src: Sequence[int]) -> list[list[int]]:
+    """The morphisms out of each object, in increasing order."""
+    out_of = [[] for _ in range(n_objects)]
+    for k, x in enumerate(src):
+        out_of[x].append(k)
+    return out_of
+
+
 def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
     """Category axioms, one violation per line, in order: table shapes, the
     range of every composition entry, identities, non-composable and missing
@@ -161,9 +196,7 @@ def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
             report.append(f"composition-domain: ({m1},{m2}) is not composable")
         elif src[m3] != src[m1] or tgt[m3] != tgt[m2]:
             report.append(f"composition: comp({m1},{m2}) has wrong endpoints")
-    out_of = [[] for _ in range(n)]
-    for k in range(m):
-        out_of[src[k]].append(k)
+    out_of = _arrows_out(n, src)
     for m1 in range(m):
         for m2 in out_of[tgt[m1]]:
             if (m1, m2) not in comp:
@@ -193,13 +226,18 @@ def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
     return report
 
 
+def _label_report(g: FiniteGroupoid) -> list[str]:
+    """Label tables whose length does not match the objects or morphisms."""
+    return [f"labels: {name} has {len(labels)} entries, expected {size}"
+            for name, labels, size in (("obj_labels", g.obj_labels, g.n_objects),
+                                       ("mor_labels", g.mor_labels, g.n_morphisms))
+            if labels is not None and len(labels) != size]
+
+
 def validate_groupoid(g: FiniteGroupoid) -> list[str]:
     """All groupoid axioms, reported one violation per line; empty means valid.
     Label tables come first, then the ``inv`` table, then the shared checker."""
-    report = [f"labels: {name} has {len(labels)} entries, expected {size}"
-              for name, labels, size in (("obj_labels", g.obj_labels, g.n_objects),
-                                         ("mor_labels", g.mor_labels, g.n_morphisms))
-              if labels is not None and len(labels) != size]
+    report = _label_report(g)
     m = g.n_morphisms
     if len(g.inv) != m:
         return report + ["shape: inv table has the wrong length"]
@@ -233,6 +271,8 @@ def identity_map(g: FiniteGroupoid) -> GroupoidMap:
 
 
 def validate_functor(f: GroupoidMap) -> list[str]:
+    """The functor laws, one violation per line; empty means a functor.  A
+    composite the codomain lacks is reported as a composition violation."""
     report = []
     dom, cod = f.dom, f.cod
     if len(f.obj_map) != dom.n_objects or len(f.mor_map) != dom.n_morphisms:
@@ -254,8 +294,9 @@ def validate_functor(f: GroupoidMap) -> list[str]:
             report.append(f"identity: object {x}")
     if report:
         return report
+    cod_comp = cod.comp
     for (m1, m2), m3 in dom.comp.items():
-        if cod.comp[(f.mor_map[m1], f.mor_map[m2])] != f.mor_map[m3]:
+        if cod_comp.get((f.mor_map[m1], f.mor_map[m2])) != f.mor_map[m3]:
             report.append(f"composition: ({m1},{m2})")
     for m in dom.morphisms():
         if f.mor_map[dom.inv[m]] != cod.inv[f.mor_map[m]]:
@@ -294,12 +335,14 @@ def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
     """The action groupoid: objects are points, morphisms are pairs (g, x).
 
     The morphism (g, x) runs from x to g.x and is encoded as g * n_points + x.
+    Composition is the rule (g, x) then (h, g.x) is (hg, x).
     """
     grp = a.group
     nx = a.n_points
-    src, tgt, mor_labels = [], [], []
+    elem, src, tgt, mor_labels = [], [], [], []
     for g in grp.elements():
         for x in range(nx):
+            elem.append(g)
             src.append(x)
             tgt.append(a.act(g, x))
             mor_labels.append(f"{grp.label(g)}.{a.point_label(x)}")
@@ -308,15 +351,15 @@ def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
         action_mor(a, grp.inv(g), a.act(g, x))
         for g in grp.elements() for x in range(nx)
     )
-    comp = {}
-    for g in grp.elements():
-        for x in range(nx):
-            gx = a.act(g, x)
-            m1 = action_mor(a, g, x)
-            for h in grp.elements():
-                comp[(m1, action_mor(a, h, gx))] = action_mor(a, grp.mul(h, g), x)
+    mul = grp.table
+
+    def compose(m1, m2):
+        if tgt[m1] != src[m2]:
+            raise KeyError((m1, m2))
+        return mul[elem[m2]][elem[m1]] * nx + src[m1]
+
     return FiniteGroupoid(
-        nx, src, tgt, id_of, inv, comp,
+        nx, src, tgt, id_of, inv, compose,
         obj_labels=tuple(a.point_label(x) for x in range(nx)),
         mor_labels=mor_labels,
     )
@@ -465,8 +508,9 @@ def union_offsets(gs: Sequence[FiniteGroupoid]) -> tuple[tuple[int, ...], tuple[
 
 
 def disjoint_union(gs: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
+    """Summands side by side; composition is the summands' own, shifted."""
     obj_off, mor_off = union_offsets(gs)
-    src, tgt, id_of, inv, comp = [], [], [], [], {}
+    src, tgt, id_of, inv, summand = [], [], [], [], []
     obj_labels, mor_labels = [], []
     for i, g in enumerate(gs):
         oo, mo = obj_off[i], mor_off[i]
@@ -474,11 +518,19 @@ def disjoint_union(gs: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
         tgt.extend(oo + x for x in g.tgt)
         id_of.extend(mo + k for k in g.id_of)
         inv.extend(mo + k for k in g.inv)
-        for (m1, m2), m3 in g.comp.items():
-            comp[(mo + m1, mo + m2)] = mo + m3
+        summand.extend([i] * g.n_morphisms)
         obj_labels.extend(g.obj_label(x) for x in g.objects())
         mor_labels.extend(g.mor_label(k) for k in g.morphisms())
-    return FiniteGroupoid(sum(g.n_objects for g in gs), src, tgt, id_of, inv, comp,
+    composers = [g.compose for g in gs]
+
+    def compose(m1, m2):
+        i = summand[m1]
+        if summand[m2] != i:
+            raise KeyError((m1, m2))
+        mo = mor_off[i]
+        return mo + composers[i](m1 - mo, m2 - mo)
+
+    return FiniteGroupoid(sum(g.n_objects for g in gs), src, tgt, id_of, inv, compose,
                           obj_labels=obj_labels, mor_labels=mor_labels)
 
 
@@ -497,7 +549,7 @@ def disjoint_union_map(fs: Sequence[GroupoidMap]) -> GroupoidMap:
 
 def product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     """Product groupoid; object (x, y) is x * h.n_objects + y and morphism
-    (m, k) is m * h.n_morphisms + k."""
+    (m, k) is m * h.n_morphisms + k.  Composition is coordinatewise."""
     no, nm = h.n_objects, h.n_morphisms
 
     def obj(x, y):
@@ -510,15 +562,18 @@ def product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     tgt = [obj(g.tgt[m], h.tgt[k]) for m in g.morphisms() for k in h.morphisms()]
     id_of = [mor(g.id_of[x], h.id_of[y]) for x in g.objects() for y in h.objects()]
     inv = [mor(g.inv[m], h.inv[k]) for m in g.morphisms() for k in h.morphisms()]
-    comp = {}
-    for (a1, a2), a3 in g.comp.items():
-        for (b1, b2), b3 in h.comp.items():
-            comp[(mor(a1, b1), mor(a2, b2))] = mor(a3, b3)
+    g_compose, h_compose = g.compose, h.compose
+
+    def compose(m1, m2):
+        a1, b1 = divmod(m1, nm)
+        a2, b2 = divmod(m2, nm)
+        return g_compose(a1, a2) * nm + h_compose(b1, b2)
+
     obj_labels = [f"({g.obj_label(x)},{h.obj_label(y)})"
                   for x in g.objects() for y in h.objects()]
     mor_labels = [f"({g.mor_label(m)},{h.mor_label(k)})"
                   for m in g.morphisms() for k in h.morphisms()]
-    return FiniteGroupoid(g.n_objects * no, src, tgt, id_of, inv, comp,
+    return FiniteGroupoid(g.n_objects * no, src, tgt, id_of, inv, compose,
                           obj_labels=obj_labels, mor_labels=mor_labels)
 
 
@@ -557,7 +612,7 @@ def automorphism_group(g: FiniteGroupoid, x: int) -> tuple[FiniteGroup, tuple[in
     mors = g.aut(x)
     index = {k: i for i, k in enumerate(mors)}
     table = tuple(
-        tuple(index[g.comp[(mors[b], mors[a])]] for b in range(len(mors)))
+        tuple(index[g.compose(mors[b], mors[a])] for b in range(len(mors)))
         for a in range(len(mors))
     )
     grp = FiniteGroup(

@@ -6,13 +6,14 @@ structure maps.
 
 Composition here is diagrammatic, so the classical right-to-left fixed-point
 condition "phi1 . alpha = bar(alpha) . phi" reads
-``comp(alpha, phi1) == comp(phi, bar(alpha))`` throughout this module.  That
-is the only place the two conventions need translating.
+``compose(alpha, phi1) == compose(phi, bar(alpha))`` throughout this
+module.  That is the only place the two conventions need translating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .core import (
@@ -111,19 +112,19 @@ class HomotopyFixedPoints:
     Objects are pairs (x, phi) with phi: x -> bar(x) and bar(phi) = inv(phi),
     ordered lexicographically by (x, phi).  There is one morphism
     (x, phi) -> (x1, phi1) for each alpha: x -> x1 of the carrier with
-    comp(alpha, phi1) == comp(phi, bar(alpha)); ``underlying[m]`` records
+    compose(alpha, phi1) == compose(phi, bar(alpha)); ``underlying[m]`` records
     that alpha.
     """
 
     def __init__(self, action: GammaAction, groupoid: FiniteGroupoid,
                  objects: tuple[HfpObject, ...], underlying: tuple[int, ...],
-                 obj_index, mor_index):
+                 obj_index, lifts):
         self.action = action
         self.groupoid = groupoid
         self.objects = objects
         self.underlying = underlying
         self._obj_index = obj_index
-        self._mor_index = mor_index
+        self._lifts = lifts  # lifts[i][alpha]: the morphism over alpha out of i
 
     def object_id(self, base: int, phi: int) -> int:
         return self._obj_index[(base, phi)]
@@ -132,10 +133,10 @@ class HomotopyFixedPoints:
         return (base, phi) in self._obj_index
 
     def morphism_id(self, src_obj: int, alpha: int) -> int:
-        return self._mor_index[(src_obj, alpha)]
+        return self._lifts[src_obj][alpha]
 
     def has_morphism(self, src_obj: int, alpha: int) -> bool:
-        return (src_obj, alpha) in self._mor_index
+        return 0 <= src_obj < len(self._lifts) and alpha in self._lifts[src_obj]
 
     def iota(self) -> GroupoidMap:
         """The forgetful map to the carrier: (x, phi) -> x, alpha -> alpha."""
@@ -152,51 +153,69 @@ class HomotopyFixedPoints:
 
 
 def hfp(a: GammaAction) -> HomotopyFixedPoints:
-    """Compute the homotopy fixed point groupoid of an involution."""
+    """Compute the homotopy fixed point groupoid of an involution.
+
+    Composition is a rule induced from the carrier's: the arrow out of (x, phi)
+    over alpha, then the arrow over beta, is the arrow out of (x, phi) over
+    alpha then beta.  Every composable pair is checked to have that arrow, and
+    a carrier that lacks it, or lacks a composite, an identity or an inverse
+    arrow, raises ``InvariantViolation``.
+    """
     g = a.carrier
+    compose, bar_mor = g.compose, a.bar_mor
     objs: list[HfpObject] = []
     for x in g.objects():
         for phi in g.hom(x, a.bar_obj[x]):
-            if a.bar_mor[phi] == g.inv[phi]:
+            if bar_mor[phi] == g.inv[phi]:
                 objs.append(HfpObject(x, phi))
     obj_index = {(o.base, o.phi): i for i, o in enumerate(objs)}
 
+    fixed_over = {}  # base -> [(j, phi)] in object order, bases increasing
+    for j, o in enumerate(objs):
+        fixed_over.setdefault(o.base, []).append((j, o.phi))
     src, tgt, underlying = [], [], []
-    mor_index = {}
-    for i, o in enumerate(objs):
-        for j, o1 in enumerate(objs):
-            for alpha in g.hom(o.base, o1.base):
-                if g.comp[(alpha, o1.phi)] == g.comp[(o.phi, a.bar_mor[alpha])]:
-                    key = (i, alpha)
-                    if key in mor_index:
-                        raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
-                                                 "reaches two fixed points")
-                    mor_index[key] = len(src)
-                    src.append(i)
-                    tgt.append(j)
-                    underlying.append(alpha)
-
-    # a carrier that is a groupoid makes every lookup below succeed
+    lifts = [{} for _ in objs]
     try:
-        id_of = [mor_index[(i, g.id_of[o.base])] for i, o in enumerate(objs)]
-        inv = [mor_index[(tgt[m], g.inv[underlying[m]])] for m in range(len(src))]
-        comp = {}
-        for m1 in range(len(src)):
-            for m2 in range(len(src)):
-                if tgt[m1] == src[m2]:
-                    comp[(m1, m2)] = mor_index[
-                        (src[m1], g.comp[(underlying[m1], underlying[m2])])]
+        for i, o in enumerate(objs):
+            for base, fixed in fixed_over.items():
+                alphas = g.hom(o.base, base)
+                twisted = [compose(o.phi, bar_mor[alpha]) for alpha in alphas]
+                for j, phi1 in fixed:
+                    for alpha, rhs in zip(alphas, twisted):
+                        if compose(alpha, phi1) != rhs:
+                            continue
+                        if alpha in lifts[i]:
+                            raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
+                                                     "reaches two fixed points: the carrier "
+                                                     "is not a groupoid")
+                        lifts[i][alpha] = len(src)
+                        src.append(i)
+                        tgt.append(j)
+                        underlying.append(alpha)
+        id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
+        inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
+        # closure: alpha then beta lifts out of src for every composable pair
+        lift_sets = [set(out) for out in lifts]
+        for i, j, alpha in zip(src, tgt, underlying):
+            if not lift_sets[i].issuperset(map(compose, repeat(alpha), lifts[j])):
+                raise KeyError(next(compose(alpha, beta) for beta in lifts[j]
+                                    if compose(alpha, beta) not in lifts[i]))
     except KeyError as exc:
-        raise InvariantViolation(f"no fixed-point arrow or composite for {exc.args[0]}: "
+        raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
                                  "the carrier is not a groupoid") from exc
 
+    def compose_fp(m1, m2):
+        if tgt[m1] != src[m2]:
+            raise KeyError((m1, m2))
+        return lifts[src[m1]][compose(underlying[m1], underlying[m2])]
+
     groupoid = FiniteGroupoid(
-        len(objs), src, tgt, id_of, inv, comp,
+        len(objs), src, tgt, id_of, inv, compose_fp,
         obj_labels=tuple(f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in objs),
         mor_labels=tuple(g.mor_label(k) for k in underlying),
     )
     return HomotopyFixedPoints(a, groupoid, tuple(objs), tuple(underlying),
-                               obj_index, mor_index)
+                               obj_index, lifts)
 
 
 def iota(a: GammaAction) -> GroupoidMap:

@@ -240,3 +240,26 @@ def test_export_dot(tmp_path):
 def test_usage_error_exits_2(capsys):
     assert run(["no-such-command"], stdout=io.StringIO()) == 2
     capsys.readouterr()
+
+
+def test_compute_commands_exit_2_on_a_carrier_that_is_not_a_groupoid(tmp_path, capsys):
+    bad = trivial_action(corrupted_bg_z2())
+    cases = [
+        ("hfp", write(tmp_path, "bad-action.json", bad)),
+        ("colimit", write(tmp_path, "one.json", one_node_diagram(bad))),
+        ("stalk", write(tmp_path, "const.json",
+                        constant_presheaf_action(sierpinski_site(), bad))),
+    ]
+    for command, f in cases:
+        code, out = invoke([command, f])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and "not a groupoid" in err, command
+
+
+def test_export_dot_rejects_labels_of_the_wrong_length(tmp_path, capsys):
+    doc = json.loads(dumps(build_bg(cyclic_group(2))))
+    doc["mor_labels"] = ["e"]
+    code, out = invoke(["export-dot", write_json(tmp_path, "short.json", doc)])
+    assert (code, out) == (2, "")
+    assert "mor_labels has 1 entries, expected 2" in capsys.readouterr().err

@@ -31,6 +31,7 @@ from grpd.core import (
 )
 from grpd.corpus import corrupted_bg_z2, small_groupoid_catalog
 from grpd.groups import (
+    GroupAction,
     cyclic_group,
     left_multiplication_action,
     symmetric_group,
@@ -315,6 +316,95 @@ def test_relabel_preserves_structure():
     f = GroupoidMap(g, h, obj_perm, mor_perm)
     assert validate_functor(f) == []
     assert is_weak_equivalence(f) and is_fibration(f)
+
+
+def test_validate_functor_reports_a_composite_the_codomain_lacks():
+    g = build_bg(cyclic_group(2))
+    table = {k: v for k, v in g.comp.items() if k != (1, 1)}
+    h = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, table)
+    assert validate_functor(GroupoidMap(g, h, (0,), (0, 1))) == ["composition: (1,1)"]
+
+
+# Composition tables built the way the constructors built them before they
+# carried rules; each rule must agree with its table on every pair.
+
+def old_action_table(a):
+    grp, nx = a.group, a.n_points
+    comp = {}
+    for g in grp.elements():
+        for x in range(nx):
+            gx = a.act(g, x)
+            for h in grp.elements():
+                comp[(g * nx + x, h * nx + gx)] = grp.mul(h, g) * nx + x
+    return comp
+
+
+def old_product_table(g, h):
+    nm = h.n_morphisms
+    return {(a1 * nm + b1, a2 * nm + b2): a3 * nm + b3
+            for (a1, a2), a3 in g.comp.items() for (b1, b2), b3 in h.comp.items()}
+
+
+def old_union_table(gs):
+    comp, offset = {}, 0
+    for g in gs:
+        for (m1, m2), m3 in g.comp.items():
+            comp[(offset + m1, offset + m2)] = offset + m3
+        offset += g.n_morphisms
+    return comp
+
+
+def assert_rule_matches_table(g, table):
+    """compose agrees with the table on composable pairs and raises KeyError
+    on every other pair; the table built on demand is the same table."""
+    assert g._comp is None
+    for m1 in g.morphisms():
+        for m2 in g.morphisms():
+            if (m1, m2) in table:
+                assert g.compose(m1, m2) == table[(m1, m2)]
+            else:
+                with pytest.raises(KeyError):
+                    g.compose(m1, m2)
+    assert g._comp is None
+    assert g.comp == table
+    assert validate_groupoid(g) == []
+
+
+Z4_ON_TWO_POINTS = GroupAction(cyclic_group(4), 2, ((0, 1), (1, 0), (0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("a", [
+    left_multiplication_action(symmetric_group(3)),
+    trivial_point_action(symmetric_group(3)),
+    left_multiplication_action(cyclic_group(4)),
+    Z4_ON_TWO_POINTS,
+], ids=["EG(S3)", "BG(S3)", "EG(Z4)", "Z4-on-2"])
+def test_action_groupoid_rule_matches_the_old_table(a):
+    assert_rule_matches_table(build_action_groupoid(a), old_action_table(a))
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (build_bg(cyclic_group(2)), build_eg(cyclic_group(3))),
+    lambda: (discrete_groupoid(2), build_bg(cyclic_group(3))),
+    lambda: (build_eg(cyclic_group(2)), build_action_groupoid(Z4_ON_TWO_POINTS)),
+    lambda: (corrupted_bg_z2(), terminal_groupoid()),
+], ids=["BZ2xEZ3", "2xBZ3", "EZ2xZ4-on-2", "corruptedxpoint"])
+def test_product_rule_matches_the_old_table(factors):
+    g, h = factors()
+    p = product(g, h)
+    table = old_product_table(g, h)
+    if validate_groupoid(g) or validate_groupoid(h):
+        # a corrupted factor gives a corrupted product with the same table
+        assert p.comp == table and validate_groupoid(p) != []
+    else:
+        assert_rule_matches_table(p, table)
+
+
+def test_disjoint_union_rule_matches_the_old_table():
+    gs = [build_bg(cyclic_group(2)), discrete_groupoid(2), build_eg(cyclic_group(3)),
+          build_action_groupoid(Z4_ON_TWO_POINTS)]
+    assert_rule_matches_table(disjoint_union(gs), old_union_table(gs))
+    assert disjoint_union([]).comp == {}
 
 
 def test_automorphism_group_of_bg_object():

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import grpd
 
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
     InvariantViolation,
     build_bg,
+    build_eg,
     components,
     discrete_groupoid,
     groupoid_cardinality,
@@ -19,8 +26,11 @@ from grpd.core import (
 from grpd.corpus import (
     corrupted_bg_z2,
     eg_gamma_action,
+    gamma_group_fixtures,
     group_catalog,
+    involutive_fixtures,
     negative_control_map,
+    small_groupoid_catalog,
     swap_corpus,
 )
 from grpd.gamma import (
@@ -40,7 +50,8 @@ from grpd.gamma import (
     validate_equivariant,
     validate_gamma_action,
 )
-from grpd.groups import cyclic_group, inversion_automorphism, symmetric_group
+from grpd.groups import (conjugation_automorphism, cyclic_group, inversion_automorphism,
+                         symmetric_group)
 
 
 def bz2_trivial():
@@ -203,3 +214,116 @@ def test_eg_gamma_action_rejects_a_non_involution():
     z3 = cyclic_group(3)
     with pytest.raises(ValueError, match="involutive"):
         eg_gamma_action(z3, (0, 2, 2))
+
+
+def reference_hfp(a):
+    """Fixed points straight from the definition, on the carrier's full table:
+    objects (x, phi) with phi: x -> bar(x) and bar(phi) = inv(phi) in
+    lexicographic order, and arrows (i, j, alpha) with alpha: x_i -> x_j and
+    alpha then phi_j equal to phi_i then bar(alpha), in lexicographic order."""
+    g = a.carrier
+    c = g.comp
+    between = {}
+    for k in g.morphisms():
+        between.setdefault((g.src[k], g.tgt[k]), []).append(k)
+    objs = [(x, phi) for x in g.objects() for phi in between.get((x, a.bar_obj[x]), ())
+            if a.bar_mor[phi] == g.inv[phi]]
+    arrows = [(i, j, alpha)
+              for i, (x, phi) in enumerate(objs) for j, (x1, phi1) in enumerate(objs)
+              for alpha in between.get((x, x1), ())
+              if c[(alpha, phi1)] == c[(phi, a.bar_mor[alpha])]]
+    return objs, arrows
+
+
+def small_actions():
+    for g in small_groupoid_catalog():
+        yield trivial_action(g)
+        yield swap_action(g)
+    for f in gamma_group_fixtures():
+        yield bg_gamma_action(f)
+    for d in involutive_fixtures():
+        yield eg_gamma_action(d.group, d.theta)
+
+
+def eg_s3_s4_actions():
+    for n in (3, 4):
+        g = symmetric_group(n)
+        yield eg_gamma_action(g, conjugation_automorphism(g, 1))  # a transposition
+
+
+def test_hfp_agrees_with_a_brute_force_fixed_point_enumeration():
+    for a in [*small_actions(), *eg_s3_s4_actions(),
+              swap_action(build_eg(symmetric_group(3)))]:
+        g, fp = a.carrier, hfp(a)
+        h = fp.groupoid
+        objs, arrows = reference_hfp(a)
+        index = {arrow: k for k, arrow in enumerate(arrows)}
+        assert [(o.base, o.phi) for o in fp.objects] == objs
+        assert h.n_objects == len(objs)
+        assert list(zip(h.src, h.tgt, fp.underlying)) == arrows
+        assert h.id_of == tuple(index[(i, i, g.id_of[x])] for i, (x, _) in enumerate(objs))
+        assert h.inv == tuple(index[(j, i, g.inv[alpha])] for i, j, alpha in arrows)
+        c = g.comp
+        out_of = {}
+        for k, (i, _, _) in enumerate(arrows):
+            out_of.setdefault(i, []).append(k)
+        for k1, (i, j, alpha) in enumerate(arrows):
+            for k2 in out_of.get(j, ()):
+                _, l, beta = arrows[k2]
+                assert h.compose(k1, k2) == index[(i, l, c[(alpha, beta)])]
+        if h.n_morphisms <= 600:
+            assert all(raises_key_error(h.compose, k1, k2)
+                       for k1 in h.morphisms() for k2 in h.morphisms()
+                       if h.tgt[k1] != h.src[k2])
+
+
+def raises_key_error(f, *args) -> bool:
+    try:
+        f(*args)
+    except KeyError:
+        return True
+    return False
+
+
+def old_hfp_table(fp):
+    """The fixed points' composition table as ``hfp`` used to fill it: every
+    pair of arrows scanned, composable ones looked up through the carrier's
+    table."""
+    g, h = fp.action.carrier, fp.groupoid
+    lift = {(h.src[m], fp.underlying[m]): m for m in h.morphisms()}
+    return {(m1, m2): lift[(h.src[m1], g.comp[(fp.underlying[m1], fp.underlying[m2])])]
+            for m1 in h.morphisms() for m2 in h.morphisms() if h.tgt[m1] == h.src[m2]}
+
+
+def test_hfp_rule_matches_the_old_table():
+    for a in [*small_actions(), *eg_s3_s4_actions()]:
+        fp = hfp(a)
+        h = fp.groupoid
+        table = old_hfp_table(fp)
+        assert h._comp is None
+        assert h.comp == table
+        assert list(h.comp) == sorted(table)
+        assert validate_groupoid(h) == []
+
+
+def test_hfp_of_eg_s5_builds_no_table_and_stays_small():
+    # a guard on the size ceiling: neither EG(S5) nor its fixed points may
+    # tabulate their 1.7 million composable pairs
+    script = (
+        "import resource\n"
+        "from grpd.core import is_fibration\n"
+        "from grpd.corpus import eg_gamma_action\n"
+        "from grpd.gamma import hfp\n"
+        "from grpd.groups import conjugation_automorphism, symmetric_group\n"
+        "g = symmetric_group(5)\n"
+        "a = eg_gamma_action(g, conjugation_automorphism(g, 1))\n"
+        "fp = hfp(a)\n"
+        "print(fp.groupoid.n_morphisms, is_fibration(fp.iota()),\n"
+        "      a.carrier._comp is None, fp.groupoid._comp is None,\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(grpd.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[:4] == ["14400", "True", "True", "True"]
+    assert int(out[4]) < 150, f"peak RSS {out[4]} MB"
