@@ -89,6 +89,15 @@ def _validation_report(obj) -> list:
     raise SchemaError(f"no validator for {type(obj).__name__}")
 
 
+def _validated(obj, path: str):
+    """``obj`` if ``grpd validate`` finds nothing wrong with it; otherwise its
+    first problem is a usage error."""
+    problems = _validation_report(obj)
+    if problems:
+        raise SchemaError(f"{path}: {problems[0]}")
+    return obj
+
+
 def _cmd_validate(args, out) -> int:
     report = _validation_report(_load(args.file))
     if report:
@@ -125,8 +134,8 @@ def _cmd_hfp(args, out) -> int:
 
 
 def _cmd_h1(args, out) -> int:
-    a = _expect(_load(args.file), GroupGammaAction, args.file,
-                "group-involution")
+    a = _validated(_expect(_load(args.file), GroupGammaAction, args.file,
+                           "group-involution"), args.file)
     cocycles = z1(a)
     classes = h1(a)
     if args.json:
@@ -157,8 +166,8 @@ def _cmd_h1(args, out) -> int:
 
 
 def _cmd_twisted(args, out) -> int:
-    d = _expect(_load(args.file), InvolutiveGroupData, args.file,
-                "twisted-data")
+    d = _validated(_expect(_load(args.file), InvolutiveGroupData, args.file,
+                           "twisted-data"), args.file)
     pf = parameter_fibration(d)
     xy = xy_isomorphism(d)
     card = groupoid_cardinality(pf.target)

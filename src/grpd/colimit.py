@@ -180,29 +180,28 @@ def _descend(what: str, n_classes: int, class_maps: Sequence[Sequence[int]],
 
 def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
                       maps: Sequence[GroupoidMap]) -> GroupoidColimit:
-    """Set-level colimit of plain groupoids over the index, with cocone maps."""
+    """Set-level colimit of plain groupoids over the index, with cocone maps.
+
+    Composition on classes is read off every composable pair of every node
+    through ``FiniteGroupoid.compositions``, so a node given by a rule is
+    walked, not tabulated."""
     obj_off, mor_off = union_offsets(gpds)
-    uf_obj = UnionFind(range(sum(g.n_objects for g in gpds)))
-    uf_mor = UnionFind(range(sum(g.n_morphisms for g in gpds)))
+    uf_obj = UnionFind(sum(g.n_objects for g in gpds))
+    uf_mor = UnionFind(sum(g.n_morphisms for g in gpds))
     for u in index.arrows():
         i, j = index.src[u], index.tgt[u]
         f = maps[u]
+        if (i == j and f.obj_map == tuple(gpds[i].objects())
+                and f.mor_map == tuple(gpds[i].morphisms())):
+            continue  # an identity map identifies nothing
         for x in gpds[i].objects():
             uf_obj.union(obj_off[i] + x, obj_off[j] + f.obj_map[x])
         for k in gpds[i].morphisms():
             uf_mor.union(mor_off[i] + k, mor_off[j] + f.mor_map[k])
-
-    def class_maps(uf, offsets, sizes):
-        classes = uf.classes()
-        class_of = [0] * sum(sizes)
-        for ci, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = ci
-        return ([tuple(class_of[off:off + n]) for off, n in zip(offsets, sizes)],
-                len(classes))
-
-    obj_cls, n_obj = class_maps(uf_obj, obj_off, [g.n_objects for g in gpds])
-    mor_cls, n_mor = class_maps(uf_mor, mor_off, [g.n_morphisms for g in gpds])
+    obj_of, n_obj = uf_obj.class_index()
+    mor_of, n_mor = uf_mor.class_index()
+    obj_cls = [tuple(obj_of[off:off + g.n_objects]) for off, g in zip(obj_off, gpds)]
+    mor_cls = [tuple(mor_of[off:off + g.n_morphisms]) for off, g in zip(mor_off, gpds)]
     src = _descend("source", n_mor, mor_cls,
                    [[oc[x] for x in g.src] for oc, g in zip(obj_cls, gpds)])
     tgt = _descend("target", n_mor, mor_cls,
@@ -213,14 +212,13 @@ def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
                      [[mc[k] for k in g.id_of] for mc, g in zip(mor_cls, gpds)])
     comp = {}
     for mc, g in zip(mor_cls, gpds):
-        for (m1, m2), m3 in g.comp.items():
+        for (m1, m2), m3 in g.compositions():
             key = (mc[m1], mc[m2])
             val = mc[m3]
-            if comp.get(key, val) != val:
+            if comp.setdefault(key, val) != val:
                 raise NotFilteredError(
                     f"composition on classes is not well-defined at {key}",
                     witness=key)
-            comp[key] = val
 
     colim = FiniteGroupoid(n_obj, src, tgt, id_of, inv, comp)
     cocones = tuple(

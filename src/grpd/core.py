@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multiplication_action, orbits_under, quotient_group, trivial_point_action
@@ -80,11 +80,11 @@ class FiniteGroupoid:
     The ``comp`` argument is either a table, a dict from composable pairs to
     composites, or a rule, a callable ``rule(m1, m2)`` that raises
     ``KeyError`` on a pair that is not composable, just as a table lookup
-    does.  ``compose(m1, m2)`` reads either; the ``comp`` property is the full
-    table, built from a rule on first access by walking the arrows out of
-    each object, and read by ``compose`` from then on, since a lookup is
-    faster than a nested rule.  Labels are optional and never take part in
-    equality.
+    does.  ``compose(m1, m2)`` reads either; ``compositions()`` walks every
+    composable pair of either without building anything; the ``comp``
+    property is the full table, built from that walk on first access and
+    read by ``compose`` from then on, since a lookup is faster than a nested
+    rule.  Labels are optional and never take part in equality.
     """
 
     __slots__ = ("n_objects", "src", "tgt", "id_of", "inv", "compose", "_comp",
@@ -113,13 +113,20 @@ class FiniteGroupoid:
     @property
     def comp(self) -> dict:
         if self._comp is None:
-            out_of = _arrows_out(self.n_objects, self.src)
-            table = {}
-            for m1, y in enumerate(self.tgt):
-                table.update(zip(zip(repeat(m1), out_of[y]),
-                                 map(self.compose, repeat(m1), out_of[y])))
-            self._use_table(table)
+            self._use_table(dict(self.compositions()))
         return self._comp
+
+    def compositions(self):
+        """Every composable pair with its composite, as ``((m1, m2), m3)``: the
+        table's entries if there is one, else the rule walked along the
+        arrows out of each object, storing nothing."""
+        if self._comp is not None:
+            return iter(self._comp.items())
+        out_of = _arrows_out(self.n_objects, self.src)
+        compose = self.compose
+        return chain.from_iterable(
+            zip(zip(repeat(m1), out_of[y]), map(compose, repeat(m1), out_of[y]))
+            for m1, y in enumerate(self.tgt))
 
     @property
     def n_morphisms(self) -> int:
@@ -375,20 +382,21 @@ def build_bg(g: FiniteGroup) -> FiniteGroupoid:
     return build_action_groupoid(trivial_point_action(g))
 
 
+def _connected(g: FiniteGroupoid) -> UnionFind:
+    uf = UnionFind(g.n_objects)
+    for x, y in zip(g.src, g.tgt):
+        uf.union(x, y)
+    return uf
+
+
 def components(g: FiniteGroupoid) -> list[list[int]]:
     """Isomorphism classes of objects as sorted lists, ordered by least object."""
-    uf = UnionFind(g.objects())
-    for m in g.morphisms():
-        uf.union(g.src[m], g.tgt[m])
-    return uf.classes()
+    return _connected(g).classes()
 
 
 def component_index(g: FiniteGroupoid) -> list[int]:
-    out = [0] * g.n_objects
-    for i, cls in enumerate(components(g)):
-        for x in cls:
-            out[x] = i
-    return out
+    """The number of each object's component, as in ``components``."""
+    return _connected(g).class_index()[0]
 
 
 def is_fibration(f: GroupoidMap) -> bool:

@@ -159,10 +159,18 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     over alpha, then the arrow over beta, is the arrow out of (x, phi) over
     alpha then beta.  Every composable pair is checked to have that arrow, and
     a carrier that lacks it, or lacks a composite, an identity or an inverse
-    arrow, raises ``InvariantViolation``.
+    arrow, raises ``InvariantViolation``.  So does a bar table of the wrong
+    length or with an entry out of range; whether bar is a functor is left to
+    ``validate_gamma_action``.
     """
     g = a.carrier
     compose, bar_mor = g.compose, a.bar_mor
+    for name, table, size in (("bar_obj", a.bar_obj, g.n_objects),
+                              ("bar_mor", bar_mor, g.n_morphisms)):
+        if len(table) != size:
+            raise InvariantViolation(f"{name} has {len(table)} entries, expected {size}")
+        if table and not 0 <= min(table) <= max(table) < size:
+            raise InvariantViolation(f"{name} has an entry out of range")
     objs: list[HfpObject] = []
     for x in g.objects():
         for phi in g.hom(x, a.bar_obj[x]):

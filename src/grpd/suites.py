@@ -12,6 +12,7 @@ recompute them a third way.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -122,26 +123,56 @@ def naive_is_weak_equivalence(f: GroupoidMap) -> bool:
     return True
 
 
+def _functor_laws(a: FiniteGroupoid):
+    """The functor laws on the domain, filed under the largest morphism each
+    mentions: per morphism, the objects it is the identity of, the inverse
+    pairs ``(k, inv[k])`` and the composition triples ``(m1, m2, m3)``."""
+    identities = [[] for _ in a.morphisms()]
+    inverses = [[] for _ in a.morphisms()]
+    triples = [[] for _ in a.morphisms()]
+    for x, k in enumerate(a.id_of):
+        identities[k].append(x)
+    for k, l in enumerate(a.inv):
+        inverses[max(k, l)].append((k, l))
+    for (m1, m2), m3 in a.compositions():
+        triples[max(m1, m2, m3)].append((m1, m2, m3))
+    return identities, inverses, triples
+
+
 def enumerate_functors(a: FiniteGroupoid, b: FiniteGroupoid, cap: int = 50000):
-    """All functors a -> b, brute force; object assignments whose morphism
-    search space exceeds the cap are skipped."""
-    if a.n_objects == 0:
-        yield GroupoidMap(a, b, (), ())
-        return
-    if b.n_objects == 0:
-        return
-    for combo in itertools.product(range(b.n_objects), repeat=a.n_objects):
-        obj_map = tuple(combo)
-        choices = [b.hom(obj_map[a.src[m]], obj_map[a.tgt[m]]) for m in a.morphisms()]
-        size = 1
-        for ch in choices:
-            size *= len(ch)
-            if size == 0 or size > cap:
-                break
+    """All functors a -> b, in lexicographic order of (obj_map, mor_map).
+
+    Object assignments whose morphism search space, the product of the
+    hom-set sizes, is 0 or exceeds the cap are skipped.  Otherwise morphisms
+    are assigned depth-first in order, and an image is accepted only if the
+    laws whose largest morphism it is hold: identities go to identities,
+    inverses to inverses, composites to composites.  Every complete
+    assignment is still checked with ``validate_functor`` before it is
+    yielded."""
+    identities, inverses, triples = _functor_laws(a)
+    b_id, b_inv, b_comp = b.id_of, b.inv, b.comp
+    n = a.n_morphisms
+    img = [0] * n
+
+    def search(obj_map, choices, m):
+        if m == n:
+            yield tuple(img)
+            return
+        for c in choices[m]:
+            img[m] = c
+            if (all(c == b_id[obj_map[x]] for x in identities[m])
+                    and all(img[l] == b_inv[img[k]] for k, l in inverses[m])
+                    and all(b_comp.get((img[m1], img[m2])) == img[m3]
+                            for m1, m2, m3 in triples[m])):
+                yield from search(obj_map, choices, m + 1)
+
+    for obj_map in itertools.product(range(b.n_objects), repeat=a.n_objects):
+        choices = [b.hom(obj_map[x], obj_map[y]) for x, y in zip(a.src, a.tgt)]
+        size = math.prod(map(len, choices))
         if size == 0 or size > cap:
             continue
-        for assignment in itertools.product(*choices):
-            f = GroupoidMap(a, b, obj_map, tuple(assignment))
+        for mor_map in search(obj_map, choices, 0):
+            f = GroupoidMap(a, b, obj_map, mor_map)
             if not validate_functor(f):
                 yield f
 

@@ -263,3 +263,60 @@ def test_export_dot_rejects_labels_of_the_wrong_length(tmp_path, capsys):
     code, out = invoke(["export-dot", write_json(tmp_path, "short.json", doc)])
     assert (code, out) == (2, "")
     assert "mor_labels has 1 entries, expected 2" in capsys.readouterr().err
+
+
+def swapped_group_entries(doc, row, a, b):
+    # swapping two entries of a row keeps an identity and unique inverses, so
+    # the document loads, but the table is no longer associative
+    table = doc["group"]["table"]
+    table[row][a], table[row][b] = table[row][b], table[row][a]
+    return doc
+
+
+def edited(obj, **fields):
+    doc = json.loads(dumps(obj))
+    doc.update(fields)
+    return doc
+
+
+S3_CONJUGATION = gamma_group_fixtures()[8]
+Z3_NEGATION = gamma_group_fixtures()[1]
+S3_REFLECTION = involutive_fixtures()[5]
+
+
+@pytest.mark.parametrize("command, doc, problem", [
+    ("h1", edited(S3_CONJUGATION, bar=[0, 1, 2, 3, 4, 99]),
+     "involution: bar is not an involutive automorphism"),
+    ("h1", edited(S3_CONJUGATION, bar=[0, 1]),
+     "shape: bar table has the wrong length"),
+    ("h1", swapped_group_entries(edited(S3_CONJUGATION), 1, 2, 4),
+     "associativity: (1,2,1)"),
+    ("h1", edited(Z3_NEGATION, bar=[0, -1, 1]),
+     "involution: bar is not an involutive automorphism"),
+    ("twisted", edited(S3_REFLECTION, theta=[0, 1, 2, 3, 4, 99]),
+     "involution: theta is not an involutive automorphism"),
+    ("twisted", edited(S3_REFLECTION, b_elements=[1]),
+     "subgroup: B is not a subgroup"),
+    ("twisted", swapped_group_entries(edited(S3_REFLECTION), 1, 3, 4),
+     "associativity: (1,1,2)"),
+], ids=["h1-bar-out-of-range", "h1-bar-short", "h1-group-table", "h1-bar-negative",
+        "twisted-theta", "twisted-b-elements", "twisted-group-table"])
+def test_h1_and_twisted_validate_before_computing(tmp_path, capsys, command, doc, problem):
+    f = write_json(tmp_path, "bad.json", doc)
+    code, out = invoke(["validate", f])
+    assert code == 1 and out.startswith(problem + "\n")
+    code, out = invoke([command, f])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {f}: {problem}\n"
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("bar_obj", lambda t: [9] + t[1:], "bar_obj has an entry out of range"),
+    ("bar_mor", lambda t: t[:-1], "bar_mor has 35 entries, expected 36"),
+], ids=["bar-obj-out-of-range", "bar-mor-short"])
+def test_hfp_rejects_malformed_bar_tables(tmp_path, capsys, field, edit, message):
+    doc = json.loads(dumps(eg_gamma_action(group_catalog()["S3"], tuple(range(6)))))
+    doc[field] = edit(doc[field])
+    code, out = invoke(["hfp", write_json(tmp_path, "bad.json", doc)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -5,7 +5,9 @@ import pytest
 from grpd.colimit import (
     FilteredDiagram,
     FiniteCategory,
+    GroupoidColimit,
     NotFilteredError,
+    _descend,
     colimit,
     colimit_groupoids,
     filtered_witness,
@@ -14,14 +16,19 @@ from grpd.colimit import (
     validate_diagram,
 )
 from grpd.core import (
+    FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
+    build_bg,
     discrete_groupoid,
     identity_map,
+    union_offsets,
     validate_functor,
 )
-from grpd.corpus import nonfiltered_control_diagram, random_filtered_diagram
-from grpd.gamma import EquivariantMap, set_as_groupoid, trivial_action
+from grpd.corpus import nonfiltered_control_diagram, random_filtered_diagram, random_presheaf_action
+from grpd.gamma import EquivariantMap, hfp, hfp_map, set_as_groupoid, trivial_action
+from grpd.groups import cyclic_group, inversion_automorphism
+from grpd.presheaf import diagram_at_point
 
 
 def two_chain():
@@ -181,3 +188,145 @@ def test_colimit_rejects_a_non_equivariant_arrow():
                 EquivariantMap(identity_map(a.carrier), a, b)))
     with pytest.raises(InvariantViolation, match="induced involution"):
         colimit(d)
+
+
+# ---------------------------------------------------------------------------
+# colimit_groupoids against the table-reading routine it replaced
+
+
+class DictUnionFind:
+    """Union-find over hashable items, keeping the smallest item as root."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+
+    def classes(self):
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return [sorted(groups[r]) for r in sorted(groups)]
+
+
+def reference_colimit_groupoids(index, gpds, maps):
+    """Dict-backed union-find and every node's full ``comp`` table."""
+    obj_off, mor_off = union_offsets(gpds)
+    uf_obj = DictUnionFind(range(sum(g.n_objects for g in gpds)))
+    uf_mor = DictUnionFind(range(sum(g.n_morphisms for g in gpds)))
+    for u in index.arrows():
+        i, j = index.src[u], index.tgt[u]
+        f = maps[u]
+        for x in gpds[i].objects():
+            uf_obj.union(obj_off[i] + x, obj_off[j] + f.obj_map[x])
+        for k in gpds[i].morphisms():
+            uf_mor.union(mor_off[i] + k, mor_off[j] + f.mor_map[k])
+
+    def class_maps(uf, offsets, sizes):
+        classes = uf.classes()
+        class_of = [0] * sum(sizes)
+        for ci, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = ci
+        return ([tuple(class_of[off:off + n]) for off, n in zip(offsets, sizes)],
+                len(classes))
+
+    obj_cls, n_obj = class_maps(uf_obj, obj_off, [g.n_objects for g in gpds])
+    mor_cls, n_mor = class_maps(uf_mor, mor_off, [g.n_morphisms for g in gpds])
+    src = _descend("source", n_mor, mor_cls,
+                   [[oc[x] for x in g.src] for oc, g in zip(obj_cls, gpds)])
+    tgt = _descend("target", n_mor, mor_cls,
+                   [[oc[x] for x in g.tgt] for oc, g in zip(obj_cls, gpds)])
+    inv = _descend("inverse", n_mor, mor_cls,
+                   [[mc[k] for k in g.inv] for mc, g in zip(mor_cls, gpds)])
+    id_of = _descend("identity", n_obj, obj_cls,
+                     [[mc[k] for k in g.id_of] for mc, g in zip(mor_cls, gpds)])
+    comp = {}
+    for mc, g in zip(mor_cls, gpds):
+        for (m1, m2), m3 in g.comp.items():
+            key = (mc[m1], mc[m2])
+            val = mc[m3]
+            if comp.get(key, val) != val:
+                raise NotFilteredError(
+                    f"composition on classes is not well-defined at {key}",
+                    witness=key)
+            comp[key] = val
+    colim = FiniteGroupoid(n_obj, src, tgt, id_of, inv, comp)
+    cocones = tuple(GroupoidMap(dom=g, cod=colim, obj_map=oc, mor_map=mc)
+                    for g, oc, mc in zip(gpds, obj_cls, mor_cls))
+    return GroupoidColimit(groupoid=colim, cocones=cocones)
+
+
+def colimit_outcome(routine, index, gpds, maps):
+    try:
+        res = routine(index, gpds, maps)
+    except NotFilteredError as exc:
+        return ("not filtered", str(exc), exc.witness)
+    return ("colimit", res.groupoid, list(res.groupoid.comp),
+            [(f.obj_map, f.mor_map) for f in res.cocones])
+
+
+def carrier_and_fixed_point_inputs(d):
+    """The colimit inputs of a diagram: its carriers, then its fixed points."""
+    yield d.index, [a.carrier for a in d.nodes], [e.map for e in d.arrows]
+    fps = [hfp(a) for a in d.nodes]
+    yield (d.index, [fp.groupoid for fp in fps],
+           [hfp_map(e, fps[d.index.src[u]], fps[d.index.tgt[u]])
+            for u, e in enumerate(d.arrows)])
+
+
+def clashing_diagram():
+    # two parallel arrows BG(Z3) -> BG(Z3), the identity and inversion: the
+    # classes are {0} and {1, 2}, and 1.1 = 2 but 1.2 = 0
+    a = trivial_action(build_bg(cyclic_group(3)))
+    g = a.carrier
+    flip = GroupoidMap(g, g, (0,), inversion_automorphism(cyclic_group(3)))
+    return FilteredDiagram(
+        nonfiltered_control_diagram().index, (a, a),
+        (identity_arrow(a), identity_arrow(a), identity_arrow(a),
+         EquivariantMap(flip, a, a)))
+
+
+def colimit_test_diagrams():
+    for seed in range(8):
+        yield random_filtered_diagram(random.Random(f"colimit-reference:{seed}"))
+    for seed in range(4):
+        a = random_presheaf_action(random.Random(f"colimit-reference-presheaf:{seed}"))
+        for t in a.presheaf.site.points():
+            yield diagram_at_point(a, t)
+    yield nonfiltered_control_diagram()
+    yield clashing_diagram()
+
+
+def test_colimit_groupoids_agrees_with_the_table_reading_reference():
+    outcomes = set()
+    for d in colimit_test_diagrams():
+        for index, gpds, maps in carrier_and_fixed_point_inputs(d):
+            # the routine under test runs first, before the reference
+            # tabulates any node
+            got = colimit_outcome(colimit_groupoids, index, gpds, maps)
+            want = colimit_outcome(reference_colimit_groupoids, index, gpds, maps)
+            assert got == want
+            outcomes.add(got[0])
+    assert outcomes == {"colimit", "not filtered"}
+
+
+def test_colimit_of_fixed_points_builds_no_node_table():
+    for seed in range(4):
+        d = random_filtered_diagram(random.Random(f"colimit-reference:{seed}"))
+        _, (index, gpds, maps) = carrier_and_fixed_point_inputs(d)
+        assert all(g._comp is None for g in gpds)
+        colimit_groupoids(index, gpds, maps)
+        assert all(g._comp is None for g in gpds)

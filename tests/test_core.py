@@ -11,6 +11,7 @@ from grpd.core import (
     build_action_groupoid,
     build_bg,
     build_eg,
+    component_index,
     components,
     discrete_groupoid,
     disjoint_union,
@@ -38,6 +39,7 @@ from grpd.groups import (
     trivial_point_action,
 )
 from grpd.suites import naive_is_fibration, naive_is_weak_equivalence
+from grpd.util import UnionFind
 
 
 def test_small_catalog_is_valid():
@@ -426,3 +428,51 @@ def test_union_adds_cardinalities(n, m):
     b = build_bg(cyclic_group(m))
     assert (groupoid_cardinality(disjoint_union([a, b]))
             == groupoid_cardinality(a) + groupoid_cardinality(b))
+
+
+def test_union_find_numbers_classes_by_their_minimum():
+    rng = random.Random("union-find")
+    for n in (0, 1, 2, 7, 30):
+        for _ in range(20):
+            uf = UnionFind(n)
+            blocks = [{x} for x in range(n)]
+            for _ in range(rng.randrange(n + 1)):
+                x, y = rng.randrange(n), rng.randrange(n)
+                uf.union(x, y)
+                bx = next(b for b in blocks if x in b)
+                by = next(b for b in blocks if y in b)
+                if bx is not by:
+                    blocks.remove(by)
+                    bx |= by
+            want = sorted(sorted(b) for b in blocks)
+            assert uf.classes() == want
+            class_of, n_classes = uf.class_index()
+            assert n_classes == len(want)
+            assert class_of == [next(i for i, b in enumerate(want) if x in b)
+                                for x in range(n)]
+
+
+def test_component_index_numbers_components_in_order():
+    groupoids = list(small_groupoid_catalog()) + [
+        disjoint_union([build_bg(cyclic_group(2)), build_eg(cyclic_group(3)),
+                        discrete_groupoid(2)])]
+    for g in groupoids:
+        # flood fill from each object not yet reached, in increasing order
+        want = [None] * g.n_objects
+        n_classes = 0
+        for x in g.objects():
+            if want[x] is None:
+                want[x], todo = n_classes, [x]
+                while todo:
+                    y = todo.pop()
+                    for ends in zip(g.src, g.tgt):
+                        if y in ends:
+                            for z in ends:
+                                if want[z] is None:
+                                    want[z] = n_classes
+                                    todo.append(z)
+                n_classes += 1
+        assert component_index(g) == want
+        assert len(components(g)) == n_classes
+    assert component_index(disjoint_union([discrete_groupoid(2), build_eg(cyclic_group(2))])) \
+        == [0, 1, 2, 2]
