@@ -1,14 +1,16 @@
 """Command line access to the validators, invariants, and check suites.
 
 Exit codes: 0 on success, 1 when a validation or check fails, 2 for unusable
-input (bad JSON, wrong document kind, missing file, a structure a compute
-command finds broken).  All reports are deterministic for a fixed input, seed,
-and size; nothing timing dependent is printed.
+input (bad JSON, wrong document kind, missing file, a document that a
+compute command finds invalid by the checks of ``grpd validate``).  All
+reports are deterministic for a fixed input, seed, and size; nothing timing
+dependent is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,12 +48,6 @@ def _load(path: str):
     return load_document(doc)
 
 
-def _expect(obj, cls, path: str, kind: str):
-    if not isinstance(obj, cls):
-        raise SchemaError(f"{path}: expected a {kind} document")
-    return obj
-
-
 def _emit(args, out, text: str) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
@@ -61,6 +57,31 @@ def _emit(args, out, text: str) -> None:
 
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _render(args, out, doc: dict) -> None:
+    """Write a result as JSON with ``--json``, else as text: one ``key:
+    value`` line per key, with ``_`` in a key shown as a space, a bool as
+    yes/no and a list as its length; each record of a list of records
+    follows as ``  first: k v, k v``, led by its first value."""
+    if args.json:
+        _emit(args, out, _json_text(doc))
+        return
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, bool):
+            shown = "yes" if value else "no"
+        elif isinstance(value, list):
+            shown = len(value)
+        else:
+            shown = value
+        lines.append(f"{key.replace('_', ' ')}: {shown}")
+        if isinstance(value, list):
+            for record in value:
+                if isinstance(record, dict):
+                    (_, first), *rest = record.items()
+                    lines.append(f"  {first}: " + ", ".join(f"{k} {v}" for k, v in rest))
+    _emit(args, out, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +110,12 @@ def _validation_report(obj) -> list:
     raise SchemaError(f"no validator for {type(obj).__name__}")
 
 
-def _validated(obj, path: str):
-    """``obj`` if ``grpd validate`` finds nothing wrong with it; otherwise its
-    first problem is a usage error."""
+def _document(path: str, cls, kind: str):
+    """The ``kind`` document at ``path``, if ``grpd validate`` finds nothing
+    wrong with it; otherwise a usage error naming the first problem."""
+    obj = _load(path)
+    if not isinstance(obj, cls):
+        raise SchemaError(f"{path}: expected a {kind} document")
     problems = _validation_report(obj)
     if problems:
         raise SchemaError(f"{path}: {problems[0]}")
@@ -113,8 +137,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_hfp(args, out) -> int:
-    a = _expect(_load(args.file), GammaAction, args.file, "gamma-action")
-    fp = hfp(a)
+    fp = hfp(_document(args.file, GammaAction, "gamma-action"))
     g = fp.groupoid
     if args.json:
         _emit(args, out, _json_text(dump_groupoid(g)))
@@ -134,30 +157,17 @@ def _cmd_hfp(args, out) -> int:
 
 
 def _cmd_h1(args, out) -> int:
-    a = _validated(_expect(_load(args.file), GroupGammaAction, args.file,
-                           "group-involution"), args.file)
-    cocycles = z1(a)
-    classes = h1(a)
-    if args.json:
-        doc = {
-            "group": a.group.name,
-            "cocycles": [a.group.label(s) for s in cocycles],
-            "classes": [
-                {"representative": a.group.label(c.representative),
-                 "orbit": len(c.members),
-                 "stabilizer": len(c.stabilizer)}
-                for c in classes
-            ],
-        }
-        _emit(args, out, _json_text(doc))
-        return 0
-    lines = [f"group: {a.group.name}",
-             f"cocycles: {len(cocycles)}",
-             f"classes: {len(classes)}"]
-    for c in classes:
-        lines.append(f"  {a.group.label(c.representative)}: "
-                     f"orbit {len(c.members)}, stabilizer {len(c.stabilizer)}")
-    _emit(args, out, "\n".join(lines) + "\n")
+    a = _document(args.file, GroupGammaAction, "group-involution")
+    _render(args, out, {
+        "group": a.group.name,
+        "cocycles": [a.group.label(s) for s in z1(a)],
+        "classes": [
+            {"representative": a.group.label(c.representative),
+             "orbit": len(c.members),
+             "stabilizer": len(c.stabilizer)}
+            for c in h1(a)
+        ],
+    })
     return 0
 
 
@@ -166,44 +176,25 @@ def _cmd_h1(args, out) -> int:
 
 
 def _cmd_twisted(args, out) -> int:
-    d = _validated(_expect(_load(args.file), InvolutiveGroupData, args.file,
-                           "twisted-data"), args.file)
+    d = _document(args.file, InvolutiveGroupData, "twisted-data")
     pf = parameter_fibration(d)
     xy = xy_isomorphism(d)
-    card = groupoid_cardinality(pf.target)
-    if args.json:
-        doc = {
-            "group": d.group.name,
-            "subgroup_order": len(set(d.b_elements)),
-            "cocycles": [d.group.label(x) for x in pf.cocycles.elements],
-            "orbits": [
-                {"representative": d.group.label(o.representative),
-                 "size": len(o.members),
-                 "stabilizer": len(o.stabilizer)}
-                for o in pf.orbits
-            ],
-            "triples": len(xy.x_elements),
-            "pairs": len(xy.y_elements),
-            "fibration": pf.is_fibration,
-            "weak_equivalence": pf.is_weak_equivalence,
-            "cardinality": str(card),
-        }
-        _emit(args, out, _json_text(doc))
-        return 0
-    lines = [f"group: {d.group.name}",
-             f"subgroup order: {len(set(d.b_elements))}",
-             f"cocycles: {len(pf.cocycles.elements)}",
-             f"orbits: {len(pf.orbits)}"]
-    for o in pf.orbits:
-        lines.append(f"  {d.group.label(o.representative)}: "
-                     f"size {len(o.members)}, stabilizer {len(o.stabilizer)}")
-    lines.append(f"triples: {len(xy.x_elements)}")
-    lines.append(f"pairs: {len(xy.y_elements)}")
-    lines.append(f"fibration: {'yes' if pf.is_fibration else 'no'}")
-    lines.append(
-        f"weak equivalence: {'yes' if pf.is_weak_equivalence else 'no'}")
-    lines.append(f"cardinality: {card}")
-    _emit(args, out, "\n".join(lines) + "\n")
+    _render(args, out, {
+        "group": d.group.name,
+        "subgroup_order": len(set(d.b_elements)),
+        "cocycles": [d.group.label(x) for x in pf.cocycles.elements],
+        "orbits": [
+            {"representative": d.group.label(o.representative),
+             "size": len(o.members),
+             "stabilizer": len(o.stabilizer)}
+            for o in pf.orbits
+        ],
+        "triples": len(xy.x_elements),
+        "pairs": len(xy.y_elements),
+        "fibration": pf.is_fibration,
+        "weak_equivalence": pf.is_weak_equivalence,
+        "cardinality": str(groupoid_cardinality(pf.target)),
+    })
     return int(not pf.is_acyclic_fibration)
 
 
@@ -212,7 +203,7 @@ def _cmd_twisted(args, out) -> int:
 
 
 def _cmd_colimit(args, out) -> int:
-    d = _expect(_load(args.file), FilteredDiagram, args.file, "diagram")
+    d = _document(args.file, FilteredDiagram, "diagram")
     witness = filtered_witness(d.index)
     if witness is not None and not args.allow_unfiltered:
         _emit(args, out, f"not filtered: {witness}\n")
@@ -258,7 +249,7 @@ def _cmd_colimit(args, out) -> int:
 
 
 def _cmd_stalk(args, out) -> int:
-    a = _expect(_load(args.file), PresheafGammaAction, args.file, "presheaf")
+    a = _document(args.file, PresheafGammaAction, "presheaf")
     site = a.presheaf.site
     points = list(site.points())
     if args.point is not None:
@@ -342,6 +333,7 @@ def _cmd_export_dot(args, out) -> int:
 # wiring
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="grpd",

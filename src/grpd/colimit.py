@@ -72,6 +72,29 @@ class FiniteCategory:
         return tuple(u for u in self.arrows() if self.src[u] == i and self.tgt[u] == j)
 
 
+def _poset_category(n: int, leq) -> tuple[FiniteCategory, dict]:
+    """The preorder on ``range(n)`` with an arrow i -> j when ``leq(i, j)``.
+
+    Arrows are numbered by (i, j) in lexicographic order; also returns the
+    map from (i, j) to its arrow id.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(n) if leq(i, j)]
+    arrow_id = {p: k for k, p in enumerate(pairs)}
+    comp = {}
+    for (i, j) in pairs:
+        for (j2, k) in pairs:
+            if j == j2:
+                comp[(arrow_id[(i, j)], arrow_id[(j2, k)])] = arrow_id[(i, k)]
+    cat = FiniteCategory(
+        n_objects=n,
+        src=tuple(p[0] for p in pairs),
+        tgt=tuple(p[1] for p in pairs),
+        id_of=tuple(arrow_id[(i, i)] for i in range(n)),
+        comp=comp,
+    )
+    return cat, arrow_id
+
+
 def validate_category(c: FiniteCategory) -> list[str]:
     """The category axioms, one violation per line; empty means valid."""
     return _category_report(c.n_objects, c.src, c.tgt, c.id_of, c.comp)

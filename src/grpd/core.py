@@ -33,7 +33,6 @@ __all__ = [
     "validate_groupoid",
     "validate_functor",
     "identity_map",
-    "empty_groupoid",
     "terminal_groupoid",
     "discrete_groupoid",
     "build_action_groupoid",
@@ -309,10 +308,6 @@ def validate_functor(f: GroupoidMap) -> list[str]:
         if f.mor_map[dom.inv[m]] != cod.inv[f.mor_map[m]]:
             report.append(f"inverse: morphism {m}")
     return report
-
-
-def empty_groupoid() -> FiniteGroupoid:
-    return FiniteGroupoid(0, (), (), (), (), {})
 
 
 def terminal_groupoid() -> FiniteGroupoid:

@@ -14,7 +14,7 @@ import random
 from typing import Optional, Sequence
 
 from .cohomology import GroupGammaAction, bg_gamma_action
-from .colimit import FilteredDiagram, FiniteCategory
+from .colimit import FilteredDiagram, FiniteCategory, _poset_category
 from .core import (
     FiniteGroupoid,
     GroupoidMap,
@@ -70,7 +70,6 @@ __all__ = [
     "v4_swap",
     "gamma_group_fixtures",
     "involutive_fixtures",
-    "s3_reflection_fixture",
     "eg_gamma_action",
     "corrupted_bg_z2",
     "negative_control_map",
@@ -188,13 +187,6 @@ def involutive_fixtures() -> tuple[InvolutiveGroupData, ...]:
         if report:
             raise InvariantViolation(f"fixture on {d.group.name}: {report[0]}")
     return fixtures
-
-
-def s3_reflection_fixture() -> InvolutiveGroupData:
-    """S3 with the identity involution and the subgroup generated by a
-    transposition."""
-    s3 = symmetric_group(3)
-    return InvolutiveGroupData(s3, identity_automorphism(s3), (0, S3_TRANSPOSITION))
 
 
 def eg_gamma_action(g: FiniteGroup, theta: Optional[Sequence[int]] = None) -> GammaAction:
@@ -444,6 +436,25 @@ def _relabel_iso(rng: random.Random, a: GammaAction) -> EquivariantMap:
     return EquivariantMap(GroupoidMap(a.carrier, b.carrier, obj_perm, mor_perm), a, b)
 
 
+def _fold_map(a: GammaAction, u: GammaAction, cod: FiniteGroupoid) -> GroupoidMap:
+    """The fold of u = gamma_union([a, a]) into cod: both copies of a go to
+    the ids of a, which are a's own in a.carrier and the first copy's in
+    u.carrier."""
+    n, k = a.carrier.n_objects, a.carrier.n_morphisms
+    return GroupoidMap(u.carrier, cod, tuple(range(n)) * 2, tuple(range(k)) * 2)
+
+
+def _random_eg_to_point(rng: random.Random) -> EquivariantMap:
+    # a translation groupoid collapsed to the point: a weak equivalence and
+    # a fibration
+    a = _random_group_with_involution(rng, 6)
+    e = eg_gamma_action(a.group, a.bar)
+    t = trivial_action(terminal_groupoid())
+    n = a.group.order
+    m = GroupoidMap(e.carrier, t.carrier, (0,) * n, (0,) * (n * n))
+    return EquivariantMap(m, e, t)
+
+
 def random_equivariant_weq(rng: random.Random) -> EquivariantMap:
     """An equivariant map whose underlying functor is a weak equivalence by
     construction."""
@@ -451,12 +462,7 @@ def random_equivariant_weq(rng: random.Random) -> EquivariantMap:
     if kind == 0:
         return _relabel_iso(rng, random_gamma_action(rng, 40))
     if kind == 1:
-        a = _random_group_with_involution(rng, 6)
-        e = eg_gamma_action(a.group, a.bar)
-        t = trivial_action(terminal_groupoid())
-        n = a.group.order
-        m = GroupoidMap(e.carrier, t.carrier, (0,) * n, (0,) * (n * n))
-        return EquivariantMap(m, e, t)
+        return _random_eg_to_point(rng)
     if kind == 2:
         # the identity object includes the point into the translation
         # groupoid: an equivalence that is not a fibration
@@ -494,11 +500,7 @@ def random_equivariant_fibration(rng: random.Random) -> EquivariantMap:
         # fold of two copies: a fibration that is not an equivalence
         a = random_gamma_action(rng, 30)
         u = gamma_union([a, a])
-        n, k = a.carrier.n_objects, a.carrier.n_morphisms
-        m = GroupoidMap(u.carrier, a.carrier,
-                        tuple(range(n)) + tuple(range(n)),
-                        tuple(range(k)) + tuple(range(k)))
-        return EquivariantMap(m, u, a)
+        return EquivariantMap(_fold_map(a, u, a.carrier), u, a)
     if kind == 3:
         # the bundle of a translation groupoid over the one-object groupoid
         a = _random_group_with_involution(rng, 7)
@@ -509,32 +511,9 @@ def random_equivariant_fibration(rng: random.Random) -> EquivariantMap:
                         tuple(k // n for k in range(n * n)))
         return EquivariantMap(m, e, b)
     if kind == 4:
-        a = _random_group_with_involution(rng, 6)
-        e = eg_gamma_action(a.group, a.bar)
-        t = trivial_action(terminal_groupoid())
-        n = a.group.order
-        m = GroupoidMap(e.carrier, t.carrier, (0,) * n, (0,) * (n * n))
-        return EquivariantMap(m, e, t)
+        return _random_eg_to_point(rng)
     return _union_equivariant(random_equivariant_fibration(rng),
                               random_equivariant_fibration(rng))
-
-
-def _poset_index(n: int, leq) -> tuple[FiniteCategory, dict]:
-    pairs = [(i, j) for i in range(n) for j in range(n) if leq(i, j)]
-    aid = {p: k for k, p in enumerate(pairs)}
-    comp = {}
-    for (i, j) in pairs:
-        for (j2, k) in pairs:
-            if j == j2:
-                comp[(aid[(i, j)], aid[(j2, k)])] = aid[(i, k)]
-    cat = FiniteCategory(
-        n_objects=n,
-        src=tuple(p[0] for p in pairs),
-        tgt=tuple(p[1] for p in pairs),
-        id_of=tuple(aid[(i, i)] for i in range(n)),
-        comp=comp,
-    )
-    return cat, aid
 
 
 def _inclusion_map(a: GammaAction, u: GammaAction) -> GroupoidMap:
@@ -563,7 +542,7 @@ def _chain_diagram(rng: random.Random) -> FilteredDiagram:
         else:
             nodes.append(cur)
             steps.append(GroupoidMap(cur.carrier, cur.carrier, cur.bar_obj, cur.bar_mor))
-    cat, aid = _poset_index(k + 1, lambda i, j: i <= j)
+    cat, aid = _poset_category(k + 1, lambda i, j: i <= j)
     built = {}
     for (i, j) in sorted(aid, key=lambda p: p[1] - p[0]):
         if i == j:
@@ -583,7 +562,7 @@ def _bar_power_diagram(rng: random.Random) -> FilteredDiagram:
     height = (0, 1, 1, 2)
     a = random_gamma_action(rng, 40)
     bar = GroupoidMap(a.carrier, a.carrier, a.bar_obj, a.bar_mor)
-    cat, aid = _poset_index(4, lambda i, j: i == j or (i, j) in below)
+    cat, aid = _poset_category(4, lambda i, j: i == j or (i, j) in below)
     arrows = [None] * cat.n_arrows
     for (i, j), k in aid.items():
         f = identity_map(a.carrier) if (height[j] - height[i]) % 2 == 0 else bar
@@ -596,10 +575,7 @@ def _retract_diagram(rng: random.Random) -> FilteredDiagram:
     # itself with the identity
     a = random_gamma_action(rng, 25)
     u = gamma_union([a, a])
-    n, k = a.carrier.n_objects, a.carrier.n_morphisms
-    collapse = GroupoidMap(u.carrier, u.carrier,
-                           tuple(range(n)) + tuple(range(n)),
-                           tuple(range(k)) + tuple(range(k)))
+    collapse = _fold_map(a, u, u.carrier)
     cat = FiniteCategory(
         n_objects=1, src=(0, 0), tgt=(0, 0), id_of=(0,),
         comp={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
@@ -621,9 +597,7 @@ def _fold_diagram(rng: random.Random) -> FilteredDiagram:
     incl_right = GroupoidMap(a.carrier, u.carrier,
                              tuple(n + x for x in range(n)),
                              tuple(k + m for m in range(k)))
-    fold_left = GroupoidMap(u.carrier, u.carrier,
-                            tuple(range(n)) + tuple(range(n)),
-                            tuple(range(k)) + tuple(range(k)))
+    fold_left = _fold_map(a, u, u.carrier)
     cat = FiniteCategory(
         n_objects=2,
         src=(0, 1, 0, 0, 1),

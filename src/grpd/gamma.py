@@ -38,9 +38,7 @@ __all__ = [
     "trivial_action",
     "set_as_groupoid",
     "hfp",
-    "iota",
     "equivariance_witness",
-    "validate_equivariant",
     "hfp_map",
     "swap_action",
     "swap_comparison",
@@ -226,10 +224,6 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
                                obj_index, lifts)
 
 
-def iota(a: GammaAction) -> GroupoidMap:
-    return hfp(a).iota()
-
-
 @dataclass(frozen=True)
 class EquivariantMap:
     """A functor together with the involutions it is supposed to commute with."""
@@ -249,13 +243,6 @@ def equivariance_witness(e: EquivariantMap):
         if f.mor_map[e.dom_action.bar_mor[m]] != e.cod_action.bar_mor[f.mor_map[m]]:
             return ("morphism", m)
     return None
-
-
-def validate_equivariant(e: EquivariantMap) -> list[str]:
-    w = equivariance_witness(e)
-    if w is None:
-        return []
-    return [f"equivariance: {w[0]} {w[1]}"]
 
 
 def hfp_map(e: EquivariantMap,

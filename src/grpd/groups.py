@@ -15,7 +15,6 @@ __all__ = [
     "FiniteGroup",
     "GroupAction",
     "validate_group",
-    "validate_action",
     "trivial_group",
     "cyclic_group",
     "dihedral_group",
@@ -23,7 +22,6 @@ __all__ = [
     "direct_product",
     "gl2_f2",
     "gl2_f2_upper_triangular",
-    "subgroup_closure",
     "is_subgroup",
     "is_normal",
     "induced_subgroup",
@@ -252,22 +250,6 @@ def gl2_f2_upper_triangular(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(a for a in g.elements() if g.label(a)[2] == "0")
 
 
-def subgroup_closure(g: FiniteGroup, subset: Sequence[int]) -> tuple[int, ...]:
-    elems = {g.identity}
-    elems.update(subset)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (g.mul(a, b), g.mul(b, a), g.inv(a)):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(elems))
-
-
 def is_subgroup(g: FiniteGroup, subset: Sequence[int]) -> bool:
     s = set(subset)
     if g.identity not in s:
@@ -377,28 +359,6 @@ class GroupAction:
         if self.point_labels is not None:
             return self.point_labels[x]
         return f"p{x}"
-
-
-def validate_action(a: GroupAction) -> list[str]:
-    report = []
-    g = a.group
-    if len(a.act_table) != g.order:
-        report.append("shape: one row per group element expected")
-        return report
-    for row in a.act_table:
-        if len(row) != a.n_points or any(not 0 <= x < a.n_points for x in row):
-            report.append("shape: action rows must be maps into the point set")
-            return report
-    for x in range(a.n_points):
-        if a.act(g.identity, x) != x:
-            report.append(f"identity: point {x} moves under the identity")
-    for p in g.elements():
-        for q in g.elements():
-            pq = g.mul(p, q)
-            for x in range(a.n_points):
-                if a.act(p, a.act(q, x)) != a.act(pq, x):
-                    report.append(f"compatibility: ({p},{q}) at point {x}")
-    return report
 
 
 def left_multiplication_action(g: FiniteGroup) -> GroupAction:

@@ -5,9 +5,9 @@ with finitely many points, each having a principal neighborhood filter: a
 least open containing it.  Presheaves are strict functors; stalks are
 computed as genuine filtered colimits over the neighborhood filter, which for
 principal filters must agree with the section at the least open; a stalk
-that disagrees raises ``InvariantViolation``, as do induced stalk maps and
-involutions whose germs disagree.  Presheaves of groups or of group actions
-have no type here: their action groupoids, open by open, form a presheaf.
+that disagrees raises ``InvariantViolation``, as do induced stalk maps
+whose germs disagree.  Presheaves of groups or of group actions have no type
+here: their action groupoids, open by open, form a presheaf.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .colimit import (
     FilteredDiagram,
     FiniteCategory,
     _descend,
+    _poset_category,
     colimit_groupoids,
     hfp_colimit_comparison,
 )
@@ -54,14 +55,12 @@ __all__ = [
     "site_from_open_sets",
     "sierpinski_site",
     "validate_presheaf",
-    "validate_presheaf_map",
     "validate_presheaf_gamma_action",
     "terminal_presheaf",
     "constant_presheaf",
     "point_filter_category",
     "stalk",
     "stalk_map",
-    "stalk_gamma_action",
     "diagram_at_point",
     "is_sectionwise_weq",
     "is_sectionwise_fib",
@@ -242,25 +241,6 @@ class PresheafMap:
     at: tuple[GroupoidMap, ...]
 
 
-def validate_presheaf_map(f: PresheafMap) -> list[str]:
-    report = []
-    s = f.dom.site
-    if f.cod.site != s:
-        report.append("shape: the presheaves live on different sites")
-        return report
-    if len(f.at) != s.n_opens:
-        report.append("shape: one component per open expected")
-        return report
-    for u in s.opens():
-        report.extend(f"component {u}: {line}" for line in validate_functor(f.at[u]))
-    if report:
-        return report
-    for (u, v) in s.comparable_pairs():
-        if f.at[u].then(f.cod.res[(u, v)]) != f.dom.res[(u, v)].then(f.at[v]):
-            report.append(f"naturality: ({u},{v})")
-    return report
-
-
 @dataclass(frozen=True)
 class PresheafGammaAction:
     """A presheaf of groupoids with a compatible involution on each section."""
@@ -310,26 +290,7 @@ def point_filter_category(site: FiniteSite, t: int) -> tuple[FiniteCategory, tup
     Returns the category and the opens in position order.
     """
     opens = site.filter_opens(t)
-    pos = {u: i for i, u in enumerate(opens)}
-    arrows = []
-    arrow_id = {}
-    for u in opens:
-        for v in opens:
-            if site.is_leq(v, u):
-                arrow_id[(pos[u], pos[v])] = len(arrows)
-                arrows.append((pos[u], pos[v]))
-    comp = {}
-    for (i, j), a1 in arrow_id.items():
-        for (j2, k), a2 in arrow_id.items():
-            if j == j2:
-                comp[(a1, a2)] = arrow_id[(i, k)]
-    cat = FiniteCategory(
-        n_objects=len(opens),
-        src=tuple(a[0] for a in arrows),
-        tgt=tuple(a[1] for a in arrows),
-        id_of=tuple(arrow_id[(i, i)] for i in range(len(opens))),
-        comp=comp,
-    )
+    cat, _ = _poset_category(len(opens), lambda i, j: site.is_leq(opens[j], opens[i]))
     return cat, opens
 
 
@@ -348,11 +309,7 @@ def stalk(x: GroupoidPresheaf, t: int) -> Stalk:
     """
     cat, opens = point_filter_category(x.site, t)
     gpds = [x.sections[u] for u in opens]
-    maps = []
-    for i in range(len(opens)):
-        for j in range(len(opens)):
-            if x.site.is_leq(opens[j], opens[i]):
-                maps.append(x.res_map(opens[i], opens[j]))
+    maps = [x.res_map(opens[i], opens[j]) for i, j in zip(cat.src, cat.tgt)]
     co = colimit_groupoids(cat, gpds, maps)
     germs = {opens[i]: co.cocones[i] for i in range(len(opens))}
     least = x.site.point_open[t]
@@ -382,32 +339,14 @@ def stalk_map(f: PresheafMap, t: int) -> GroupoidMap:
     return GroupoidMap(sd.groupoid, sc.groupoid, obj_map, mor_map)
 
 
-def stalk_gamma_action(a: PresheafGammaAction, t: int) -> GammaAction:
-    """The involution induced on the stalk of the underlying presheaf."""
-    st = stalk(a.presheaf, t)
-    germs = [st.germs[u] for u in st.opens]
-    bar_obj = _descend("stalk involution on objects", st.groupoid.n_objects,
-                       [g.obj_map for g in germs],
-                       [[g.obj_map[y] for y in a.at[u].bar_obj]
-                        for g, u in zip(germs, st.opens)])
-    bar_mor = _descend("stalk involution on morphisms", st.groupoid.n_morphisms,
-                       [g.mor_map for g in germs],
-                       [[g.mor_map[k] for k in a.at[u].bar_mor]
-                        for g, u in zip(germs, st.opens)])
-    return GammaAction(st.groupoid, bar_obj, bar_mor)
-
-
 def diagram_at_point(a: PresheafGammaAction, t: int) -> FilteredDiagram:
     """The neighborhood filter of t as a diagram of groupoids with involution."""
     cat, opens = point_filter_category(a.presheaf.site, t)
     nodes = tuple(a.at[u] for u in opens)
-    arrows = []
-    for i in range(len(opens)):
-        for j in range(len(opens)):
-            if a.presheaf.site.is_leq(opens[j], opens[i]):
-                arrows.append(EquivariantMap(
-                    a.presheaf.res_map(opens[i], opens[j]), a.at[opens[i]], a.at[opens[j]]))
-    return FilteredDiagram(index=cat, nodes=nodes, arrows=tuple(arrows))
+    arrows = tuple(
+        EquivariantMap(a.presheaf.res_map(opens[i], opens[j]), nodes[i], nodes[j])
+        for i, j in zip(cat.src, cat.tgt))
+    return FilteredDiagram(index=cat, nodes=nodes, arrows=arrows)
 
 
 def is_sectionwise_weq(f: PresheafMap) -> bool:

