@@ -30,8 +30,7 @@ from .presheaf import (FiniteSite, PresheafGammaAction, stalk,
                        stalk_commutation_check, validate_presheaf,
                        validate_presheaf_gamma_action, validate_site)
 from .suites import SUITE_NAMES, run_all, run_suite
-from .twisted import (InvolutiveGroupData, parameter_fibration,
-                      validate_involutive_data, xy_isomorphism)
+from .twisted import InvolutiveGroupData, parameter_fibration, validate_involutive_data
 
 __all__ = ["main", "run"]
 
@@ -178,7 +177,6 @@ def _cmd_h1(args, out) -> int:
 def _cmd_twisted(args, out) -> int:
     d = _document(args.file, InvolutiveGroupData, "twisted-data")
     pf = parameter_fibration(d)
-    xy = xy_isomorphism(d)
     _render(args, out, {
         "group": d.group.name,
         "subgroup_order": len(set(d.b_elements)),
@@ -189,8 +187,8 @@ def _cmd_twisted(args, out) -> int:
              "stabilizer": len(o.stabilizer)}
             for o in pf.orbits
         ],
-        "triples": len(xy.x_elements),
-        "pairs": len(xy.y_elements),
+        "triples": len(pf.correspondence.x_elements),
+        "pairs": len(pf.correspondence.y_elements),
         "fibration": pf.is_fibration,
         "weak_equivalence": pf.is_weak_equivalence,
         "cardinality": str(groupoid_cardinality(pf.target)),
@@ -209,7 +207,7 @@ def _cmd_colimit(args, out) -> int:
         _emit(args, out, f"not filtered: {witness}\n")
         return 1
     try:
-        c = hfp_colimit_comparison(d, require_filtered=not args.allow_unfiltered)
+        c = hfp_colimit_comparison(d, require_filtered=False)
     except NotFilteredError as exc:
         _emit(args, out, f"not filtered: {exc}\n")
         return 1

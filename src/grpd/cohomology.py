@@ -12,6 +12,7 @@ corresponding fixed point of the one-object groupoid of G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from .core import (
@@ -22,7 +23,6 @@ from .core import (
     components,
     disjoint_union,
     is_weak_equivalence,
-    union_offsets,
 )
 from .gamma import GammaAction, HomotopyFixedPoints, hfp
 from .groups import FiniteGroup, induced_subgroup, is_involutive_automorphism
@@ -98,26 +98,16 @@ def bg_hfp_decomposition(a: GroupGammaAction) -> BgDecomposition:
     """
     classes = h1(a)
     fp = hfp(bg_gamma_action(a))
-    summands = []
-    embeddings = []
+    parts = []
     for cls in classes:
         sub, emb = induced_subgroup(a.group, cls.stabilizer)
-        summands.append(build_bg(sub))
-        embeddings.append(emb)
-    source = disjoint_union(summands)
-    obj_off, mor_off = union_offsets(summands)
-    obj_map = [0] * source.n_objects
-    mor_map = [0] * source.n_morphisms
-    for i, cls in enumerate(classes):
-        target_obj = fp.object_id(0, cls.representative)
-        obj_map[obj_off[i]] = target_obj
-        for k, g_elem in enumerate(embeddings[i]):
-            mor_map[mor_off[i] + k] = fp.morphism_id(target_obj, g_elem)
-    f = GroupoidMap(source, fp.groupoid, tuple(obj_map), tuple(mor_map))
+        x = fp.object_id(0, cls.representative)
+        parts.append(SkeletonPart(x, sub, tuple(fp.morphism_id(x, g) for g in emb)))
+    f = _deloopings_into(fp.groupoid, parts)
     return BgDecomposition(
         classes=tuple(classes),
         fixed_points=fp,
-        source=source,
+        source=f.dom,
         map=f,
         is_weak_equivalence=is_weak_equivalence(f),
     )
@@ -147,15 +137,16 @@ def skeletonize(g: FiniteGroupoid) -> Skeleton:
         grp, mors = automorphism_group(g, rep)
         parts.append(SkeletonPart(representative=rep, automorphisms=grp,
                                   morphisms=mors))
-    summands = [build_bg(p.automorphisms) for p in parts]
-    source = disjoint_union(summands)
-    obj_off, mor_off = union_offsets(summands)
-    obj_map = [0] * source.n_objects
-    mor_map = [0] * source.n_morphisms
-    for i, p in enumerate(parts):
-        obj_map[obj_off[i]] = p.representative
-        for k, mor in enumerate(p.morphisms):
-            mor_map[mor_off[i] + k] = mor
-    f = GroupoidMap(source, g, tuple(obj_map), tuple(mor_map))
-    return Skeleton(parts=tuple(parts), source=source, map=f,
+    f = _deloopings_into(g, parts)
+    return Skeleton(parts=tuple(parts), source=f.dom, map=f,
                     is_weak_equivalence=is_weak_equivalence(f))
+
+
+def _deloopings_into(cod: FiniteGroupoid, parts: Sequence[SkeletonPart]) -> GroupoidMap:
+    """The map out of the disjoint union of the one-object groupoids of the
+    parts' groups, sending summand i to ``parts[i].representative`` by
+    ``parts[i].morphisms``.  Every summand has one object and its morphism
+    ids are group elements, so both map tables are concatenations."""
+    source = disjoint_union([build_bg(p.automorphisms) for p in parts])
+    return GroupoidMap(source, cod, tuple(p.representative for p in parts),
+                       tuple(chain.from_iterable(p.morphisms for p in parts)))

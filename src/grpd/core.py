@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
-from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multiplication_action, orbits_under, quotient_group, trivial_point_action
+from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
 from .util import UnionFind
 
 __all__ = [
@@ -462,29 +462,27 @@ def quotient_comparison(a: GroupAction, normal: Sequence[int]) -> QuotientCompar
         )
         raise NotNormalError(f"conjugate of {bad[1]} by {bad[0]} leaves the subgroup",
                              witness=bad)
+    point_classes = UnionFind(a.n_points)  # joins each point to its translates by N
     for n in nset:
-        if n == grp.identity:
-            continue
         for x in range(a.n_points):
-            if a.act(n, x) == x:
+            y = a.act(n, x)
+            if y == x and n != grp.identity:
                 raise NotFreeError(f"element {n} fixes point {x}", element=n, point=x)
+            point_classes.union(x, y)
 
     q, proj = quotient_group(grp, nset)
-    point_orbits = orbits_under(a, nset)
-    point_class = [0] * a.n_points
-    for i, orbit in enumerate(point_orbits):
-        for x in orbit:
-            point_class[x] = i
+    point_class, _ = point_classes.class_index()
+    reps = [x for x in range(a.n_points) if point_classes.find(x) == x]
     coset_rep = [min(g for g in grp.elements() if proj[g] == c) for c in range(q.order)]
     act_table = tuple(
-        tuple(point_class[a.act(coset_rep[c], orbit[0])] for orbit in point_orbits)
+        tuple(point_class[a.act(coset_rep[c], r)] for r in reps)
         for c in range(q.order)
     )
     qa = GroupAction(
         group=q,
-        n_points=len(point_orbits),
+        n_points=len(reps),
         act_table=act_table,
-        point_labels=tuple(f"[{a.point_label(orbit[0])}]" for orbit in point_orbits),
+        point_labels=tuple(f"[{a.point_label(r)}]" for r in reps),
     )
     dom = build_action_groupoid(a)
     cod = build_action_groupoid(qa)

@@ -33,7 +33,6 @@ __all__ = [
     "conjugation_automorphism",
     "left_multiplication_action",
     "trivial_point_action",
-    "orbits_under",
 ]
 
 
@@ -377,28 +376,3 @@ def trivial_point_action(g: FiniteGroup) -> GroupAction:
         act_table=tuple((0,) for _ in g.elements()),
         point_labels=("*",),
     )
-
-
-def orbits_under(a: GroupAction, elements: Optional[Sequence[int]] = None) -> list[list[int]]:
-    """Orbits of the given group elements (default: all), sorted by least point."""
-    gens = list(a.group.elements()) if elements is None else list(elements)
-    seen = [False] * a.n_points
-    out = []
-    for x in range(a.n_points):
-        if seen[x]:
-            continue
-        orbit = {x}
-        frontier = [x]
-        seen[x] = True
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = a.act(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        seen[z] = True
-                        nxt.append(z)
-            frontier = nxt
-        out.append(sorted(orbit))
-    return out

@@ -40,7 +40,7 @@ from .presheaf import (
     stalk_commutation_check,
     validate_presheaf_gamma_action,
 )
-from .twisted import parameter_fibration, xy_isomorphism, z1_theta
+from .twisted import parameter_fibration
 
 __all__ = [
     "SuiteResult",
@@ -314,10 +314,9 @@ def suite_parameter_fibration(seed: int, size: str = "full") -> SuiteResult:
         pf = parameter_fibration(d)
         if not (pf.is_fibration and pf.is_weak_equivalence):
             not_acyclic += 1
-        corr = xy_isomorphism(d)
-        zs = z1_theta(d)
+        corr = pf.correspondence
         got = (
-            len(zs.elements),
+            len(pf.cocycles.elements),
             tuple(sorted((len(o.members), len(o.stabilizer)) for o in pf.orbits)),
             len(corr.x_elements),
             len(corr.y_elements),

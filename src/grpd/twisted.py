@@ -12,7 +12,9 @@ points are carried by the cocycle-like sets
 
 with X and Y isomorphic over B x B and Y -> Z, (b, g) -> b g, inducing the
 comparison from the fixed points to the action groupoid of the twisted
-conjugation action of B on Z.
+conjugation action of B on Z.  The orbits of that action are the components
+of its action groupoid and their stabilizers are its vertex groups, so
+``twisted_orbits`` reads both off the groupoid.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     action_mor,
     action_mor_parts,
     build_action_groupoid,
+    components,
     is_fibration,
     is_weak_equivalence,
 )
@@ -38,7 +41,6 @@ from .groups import (
     induced_subgroup,
     is_involutive_automorphism,
     is_subgroup,
-    orbits_under,
 )
 
 __all__ = [
@@ -178,16 +180,21 @@ def twisted_orbits(d: InvolutiveGroupData) -> list[TwistedOrbit]:
     """Orbits of B on the cocycles, sorted by their least member, which is
     the representative."""
     zs = z1_theta(d)
-    out = []
-    for orbit in orbits_under(zs.action):
-        r = orbit[0]
-        out.append(TwistedOrbit(
-            representative=zs.elements[r],
-            members=tuple(zs.elements[t] for t in orbit),
-            stabilizer=tuple(zs.b_embedding[b] for b in zs.b_group.elements()
-                             if zs.action.act(b, r) == r),
-        ))
-    return out
+    return _orbits(zs, build_action_groupoid(zs.action))
+
+
+def _orbits(zs: TwistedCocycleSet, target: FiniteGroupoid) -> list[TwistedOrbit]:
+    """The components of ``target``, the action groupoid of ``zs.action``,
+    each with the group coordinates of the automorphisms of its least object."""
+    return [
+        TwistedOrbit(
+            representative=zs.elements[cls[0]],
+            members=tuple(zs.elements[t] for t in cls),
+            stabilizer=tuple(zs.b_embedding[action_mor_parts(zs.action, m)[0]]
+                             for m in target.aut(cls[0])),
+        )
+        for cls in components(target)
+    ]
 
 
 @dataclass(frozen=True)
@@ -297,6 +304,7 @@ class ParameterFibration:
     fixed_points: HomotopyFixedPoints = field(compare=False)
     target: FiniteGroupoid = field(compare=False)
     cocycles: TwistedCocycleSet = field(compare=False)
+    correspondence: XYCorrespondence = field(compare=False)
     orbits: tuple[TwistedOrbit, ...] = ()
 
     @property
@@ -354,5 +362,6 @@ def parameter_fibration(d: InvolutiveGroupData) -> ParameterFibration:
         fixed_points=fp,
         target=target,
         cocycles=zs,
-        orbits=tuple(twisted_orbits(d)),
+        correspondence=corr,
+        orbits=tuple(_orbits(zs, target)),
     )

@@ -1,12 +1,13 @@
 import io
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 from grpd.cli import run
-from grpd.colimit import FilteredDiagram, FiniteCategory
+from grpd.colimit import FilteredDiagram, FiniteCategory, filtered_witness
 from grpd.corpus import (
     S3_TRANSPOSITION,
     constant_presheaf_action,
@@ -24,7 +25,7 @@ from grpd.core import FiniteGroupoid, GroupoidMap, build_bg, identity_map
 from grpd.gamma import EquivariantMap, trivial_action
 from grpd.groups import conjugation_automorphism, cyclic_group
 from grpd.jsonio import dumps, load_groupoid
-from grpd.twisted import InvolutiveGroupData
+from grpd.twisted import InvolutiveGroupData, xy_isomorphism, z1_theta
 from grpd.presheaf import GroupoidPresheaf, PresheafGammaAction, sierpinski_site
 
 
@@ -187,6 +188,38 @@ def test_twisted_command(tmp_path):
     assert code == 0
     assert "cardinality: 2" in out
     assert "fibration: yes" in out and "weak equivalence: yes" in out
+
+
+def count_calls(monkeypatch, func):
+    """Replace ``func`` in every ``grpd`` module that holds it by a wrapper
+    that records each call; returns the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "grpd" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+def test_twisted_command_computes_each_presentation_once(tmp_path, monkeypatch):
+    f = write(tmp_path, "tw.json", involutive_fixtures()[5])
+    xy_calls = count_calls(monkeypatch, xy_isomorphism)
+    z_calls = count_calls(monkeypatch, z1_theta)
+    code, _ = invoke(["twisted", f])
+    assert code == 0
+    assert (len(xy_calls), len(z_calls)) == (1, 1)
+
+
+def test_colimit_command_decides_filteredness_once(tmp_path, monkeypatch):
+    f = write(tmp_path, "d.json", random_filtered_diagram(random.Random(3)))
+    calls = count_calls(monkeypatch, filtered_witness)
+    code, out = invoke(["colimit", f])
+    assert code == 0 and out.startswith("filtered: yes")
+    assert len(calls) == 1
 
 
 def test_colimit_command_on_control(tmp_path):

@@ -9,10 +9,19 @@ from grpd.cohomology import (
     validate_group_gamma_action,
     z1,
 )
-from grpd.core import build_eg, components, is_weak_equivalence, validate_functor
+from grpd.core import (
+    automorphism_group,
+    build_bg,
+    build_eg,
+    components,
+    disjoint_union,
+    is_weak_equivalence,
+    union_offsets,
+    validate_functor,
+)
 from grpd.corpus import gamma_group_fixtures, group_catalog
 from grpd.gamma import hfp, validate_gamma_action
-from grpd.groups import cyclic_group, inversion_automorphism, symmetric_group
+from grpd.groups import cyclic_group, induced_subgroup, inversion_automorphism, symmetric_group
 from grpd.suites import EXPECTED_BG
 
 
@@ -101,6 +110,52 @@ def test_skeletonize_fixed_points_of_s3_conjugation():
     assert sorted(p.automorphisms.order for p in sk.parts) == [2, 6]
     assert sk.is_weak_equivalence
     assert validate_functor(sk.map) == []
+
+
+def reference_union_map(summands, targets, morphisms):
+    """The map out of ``disjoint_union(summands)`` as ``bg_hfp_decomposition``
+    and ``skeletonize`` built it, summand by summand through the offsets:
+    ``(source, obj_map, mor_map)``."""
+    source = disjoint_union(summands)
+    obj_off, mor_off = union_offsets(summands)
+    obj_map = [0] * source.n_objects
+    mor_map = [0] * source.n_morphisms
+    for i, (x, mors) in enumerate(zip(targets, morphisms)):
+        obj_map[obj_off[i]] = x
+        for k, mor in enumerate(mors):
+            mor_map[mor_off[i] + k] = mor
+    return source, tuple(obj_map), tuple(mor_map)
+
+
+def reference_decomposition_map(a):
+    fp = hfp(bg_gamma_action(a))
+    summands, targets, morphisms = [], [], []
+    for cls in h1(a):
+        sub, emb = induced_subgroup(a.group, cls.stabilizer)
+        summands.append(build_bg(sub))
+        targets.append(fp.object_id(0, cls.representative))
+        morphisms.append([fp.morphism_id(targets[-1], g) for g in emb])
+    return reference_union_map(summands, targets, morphisms)
+
+
+def reference_skeleton_map(g):
+    summands, targets, morphisms = [], [], []
+    for cls in components(g):
+        grp, mors = automorphism_group(g, cls[0])
+        summands.append(build_bg(grp))
+        targets.append(cls[0])
+        morphisms.append(mors)
+    return reference_union_map(summands, targets, morphisms)
+
+
+def test_concatenated_maps_match_the_offset_loops():
+    for a in gamma_group_fixtures():
+        fixed = hfp(bg_gamma_action(a)).groupoid
+        for f, (source, obj_map, mor_map) in (
+                (bg_hfp_decomposition(a).map, reference_decomposition_map(a)),
+                (skeletonize(fixed).map, reference_skeleton_map(fixed))):
+            assert (f.obj_map, f.mor_map) == (obj_map, mor_map)
+            assert (f.dom.src, f.dom.tgt) == (source.src, source.tgt)
 
 
 @given(st.integers(min_value=1, max_value=12))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from grpd.core import (
     NotFreeError,
+    action_mor,
     NotNormalError,
     automorphism_group,
     build_action_groupoid,
@@ -33,7 +34,9 @@ from grpd.corpus import corrupted_bg_z2, small_groupoid_catalog
 from grpd.groups import (
     GroupAction,
     cyclic_group,
+    dihedral_group,
     left_multiplication_action,
+    quotient_group,
     symmetric_group,
     trivial_point_action,
 )
@@ -270,6 +273,57 @@ def test_quotient_comparison_free_normal():
     assert q.is_fibration and q.is_weak_equivalence and q.is_acyclic_fibration
     assert validate_functor(q.map) == []
     assert q.map.cod.n_objects == 2
+
+
+def reference_quotient_map(a, normal):
+    """The comparison map as built before the point classes came from a
+    union-find: the orbits of N, listed by least point, are its translates."""
+    grp = a.group
+    nset = tuple(sorted(set(normal)))
+    q, proj = quotient_group(grp, nset)
+    point_orbits = sorted({tuple(sorted({a.act(n, x) for n in nset}))
+                           for x in range(a.n_points)})
+    point_class = {x: i for i, orbit in enumerate(point_orbits) for x in orbit}
+    coset_rep = [min(g for g in grp.elements() if proj[g] == c) for c in range(q.order)]
+    qa = GroupAction(
+        group=q,
+        n_points=len(point_orbits),
+        act_table=tuple(
+            tuple(point_class[a.act(coset_rep[c], orbit[0])] for orbit in point_orbits)
+            for c in range(q.order)),
+        point_labels=tuple(f"[{a.point_label(orbit[0])}]" for orbit in point_orbits),
+    )
+    cod = build_action_groupoid(qa)
+    obj_map = tuple(point_class[x] for x in range(a.n_points))
+    mor_map = tuple(action_mor(qa, proj[g], point_class[x])
+                    for g in grp.elements() for x in range(a.n_points))
+    return GroupoidMap(build_action_groupoid(a), cod, obj_map, mor_map)
+
+
+def two_copies(a):
+    """The action on two disjoint copies of the points of ``a``."""
+    n = a.n_points
+    return GroupAction(a.group, 2 * n,
+                       tuple(row + tuple(n + y for y in row) for row in a.act_table))
+
+
+def test_quotient_comparison_matches_the_orbit_reference():
+    s3, c4, d4 = symmetric_group(3), cyclic_group(4), dihedral_group(4)
+    cases = [
+        (left_multiplication_action(c4), (0, 2)),
+        (left_multiplication_action(s3), (0, 3, 4)),
+        (left_multiplication_action(d4), (0, 4)),
+        (two_copies(left_multiplication_action(c4)), (0, 2)),
+        (two_copies(left_multiplication_action(s3)), (0, 3, 4)),
+    ]
+    for a, normal in cases:
+        q = quotient_comparison(a, normal)
+        ref = reference_quotient_map(a, normal)
+        assert (q.map.obj_map, q.map.mor_map) == (ref.obj_map, ref.mor_map)
+        assert q.map.cod == ref.cod
+        assert q.map.cod.obj_labels == ref.cod.obj_labels
+        assert q.is_fibration == is_fibration(ref)
+        assert q.is_weak_equivalence == is_weak_equivalence(ref)
 
 
 def test_quotient_comparison_rejects_non_normal():

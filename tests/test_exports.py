@@ -1,0 +1,32 @@
+"""The public surface is consistent: a deletion cannot leave a stale export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import grpd
+
+
+def grpd_modules():
+    return [importlib.import_module(f"grpd.{m.name}")
+            for m in pkgutil.iter_modules(grpd.__path__)]
+
+
+def test_every_name_in_a_module_all_resolves():
+    modules = grpd_modules()
+    assert len(modules) == 12
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+
+
+def test_the_package_imports_only_exported_names():
+    tree = ast.parse(Path(grpd.__file__).read_text())
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"grpd.{node.module}")
+        unexported = [a.name for a in node.names if a.name not in module.__all__]
+        assert unexported == [], module.__name__

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from grpd.core import build_action_groupoid, validate_groupoid
+from grpd.core import build_action_groupoid, components, validate_groupoid
 from grpd.corpus import S3_TRANSPOSITION, group_catalog, transpose_inverse, v4_swap
 from grpd.groups import (
     GroupAction,
@@ -19,7 +19,6 @@ from grpd.groups import (
     is_normal,
     is_subgroup,
     left_multiplication_action,
-    orbits_under,
     quotient_group,
     symmetric_group,
     trivial_group,
@@ -123,13 +122,13 @@ def test_left_multiplication_action():
     s3 = symmetric_group(3)
     a = left_multiplication_action(s3)
     assert validate_groupoid(build_action_groupoid(a)) == []
-    assert len(orbits_under(a)) == 1
+    assert len(components(build_action_groupoid(a))) == 1
 
 
 def test_trivial_point_action_orbits():
     a = trivial_point_action(cyclic_group(4))
     assert validate_groupoid(build_action_groupoid(a)) == []
-    assert orbits_under(a) == [[0]]
+    assert components(build_action_groupoid(a)) == [[0]]
 
 
 def test_validate_action_catches_non_action():

@@ -4,12 +4,18 @@ import pytest
 
 from grpd.cohomology import GroupGammaAction, h1
 from grpd.core import groupoid_cardinality, validate_functor
-from grpd.corpus import involutive_fixtures
+from grpd.corpus import gamma_group_fixtures, involutive_fixtures
 from grpd.gamma import validate_gamma_action
-from grpd.groups import identity_automorphism, symmetric_group
+from grpd.groups import (
+    conjugation_automorphism,
+    identity_automorphism,
+    is_involutive_automorphism,
+    symmetric_group,
+)
 from grpd.suites import EXPECTED_TWISTED
 from grpd.twisted import (
     InvolutiveGroupData,
+    TwistedOrbit,
     build_double_coset_groupoid,
     parameter_fibration,
     twisted_orbits,
@@ -130,3 +136,68 @@ def test_full_subgroup_recovers_cocycle_classes():
     pf = parameter_fibration(d)
     assert pf.is_acyclic_fibration
     assert groupoid_cardinality(pf.target) == Fraction(2, 3)
+
+
+def reference_orbits_under(a):
+    """The breadth-first orbit search that ``twisted_orbits`` replaced:
+    orbits of the group, sorted by least point."""
+    gens = list(a.group.elements())
+    seen = [False] * a.n_points
+    out = []
+    for x in range(a.n_points):
+        if seen[x]:
+            continue
+        orbit = {x}
+        frontier = [x]
+        seen[x] = True
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for g in gens:
+                    z = a.act(g, y)
+                    if z not in orbit:
+                        orbit.add(z)
+                        seen[z] = True
+                        nxt.append(z)
+            frontier = nxt
+        out.append(sorted(orbit))
+    return out
+
+
+def reference_twisted_orbits(d):
+    """The orbit search plus a rescan of B for each stabilizer."""
+    zs = z1_theta(d)
+    out = []
+    for orbit in reference_orbits_under(zs.action):
+        r = orbit[0]
+        out.append(TwistedOrbit(
+            representative=zs.elements[r],
+            members=tuple(zs.elements[t] for t in orbit),
+            stabilizer=tuple(zs.b_embedding[b] for b in zs.b_group.elements()
+                             if zs.action.act(b, r) == r),
+        ))
+    return out
+
+
+def differential_inputs():
+    """The involutive fixtures, the group fixtures with B = G, and S4 and S5
+    under conjugation by the transpositions 1 and 2."""
+    out = list(involutive_fixtures())
+    for a in gamma_group_fixtures():
+        out.append(InvolutiveGroupData(a.group, a.bar, tuple(a.group.elements())))
+    for n in (4, 5):
+        g = symmetric_group(n)
+        for s in (1, 2):
+            theta = conjugation_automorphism(g, s)
+            if is_involutive_automorphism(g, theta):
+                out.append(InvolutiveGroupData(g, theta, tuple(g.elements())))
+    return out
+
+
+def test_orbits_from_components_match_the_orbit_search():
+    inputs = differential_inputs()
+    assert len(inputs) == 27
+    for d in inputs:
+        assert twisted_orbits(d) == reference_twisted_orbits(d)
+    for d in involutive_fixtures():
+        assert list(parameter_fibration(d).orbits) == reference_twisted_orbits(d)
