@@ -13,9 +13,10 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
-from .cohomology import (GroupGammaAction, h1, validate_group_gamma_action, z1)
+from .cohomology import GroupGammaAction, h1, validate_group_gamma_action
 from .colimit import (FilteredDiagram, NotFilteredError, filtered_witness,
                       hfp_colimit_comparison, validate_category,
                       validate_diagram)
@@ -26,8 +27,8 @@ from .gamma import GammaAction, hfp, validate_gamma_action
 from .groups import FiniteGroup, validate_group
 from .jsonio import (SchemaError, dump_gamma_action, dump_groupoid,
                      load_document, to_dot)
-from .presheaf import (FiniteSite, PresheafGammaAction, stalk,
-                       stalk_commutation_check, validate_presheaf,
+from .presheaf import (FiniteSite, PresheafGammaAction,
+                       stalk_commutation_check,
                        validate_presheaf_gamma_action, validate_site)
 from .suites import SUITE_NAMES, run_all, run_suite
 from .twisted import InvolutiveGroupData, parameter_fibration, validate_involutive_data
@@ -102,7 +103,6 @@ def _validation_report(obj) -> list:
         return validate_site(obj)
     if isinstance(obj, PresheafGammaAction):
         return (validate_site(obj.presheaf.site)
-                or validate_presheaf(obj.presheaf)
                 or validate_presheaf_gamma_action(obj))
     if isinstance(obj, FilteredDiagram):
         return validate_category(obj.index) or validate_diagram(obj)
@@ -157,14 +157,16 @@ def _cmd_hfp(args, out) -> int:
 
 def _cmd_h1(args, out) -> int:
     a = _document(args.file, GroupGammaAction, "group-involution")
+    classes = h1(a)  # the classes partition the cocycles
     _render(args, out, {
         "group": a.group.name,
-        "cocycles": [a.group.label(s) for s in z1(a)],
+        "cocycles": [a.group.label(s)
+                     for s in sorted(chain.from_iterable(c.members for c in classes))],
         "classes": [
             {"representative": a.group.label(c.representative),
              "orbit": len(c.members),
              "stabilizer": len(c.stabilizer)}
-            for c in h1(a)
+            for c in classes
         ],
     })
     return 0
@@ -259,11 +261,11 @@ def _cmd_stalk(args, out) -> int:
     rows = []
     all_ok = True
     for t in points:
-        st = stalk(a.presheaf, t)
         c = stalk_commutation_check(a, t)
+        st = c.colimit.groupoid
         all_ok = all_ok and c.is_isomorphism
-        rows.append((site.point_labels[t], st.groupoid.n_objects,
-                     st.groupoid.n_morphisms, c.is_isomorphism))
+        rows.append((site.point_labels[t], st.n_objects, st.n_morphisms,
+                     c.is_isomorphism))
     if args.json:
         doc = {
             "points": [

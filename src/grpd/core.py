@@ -21,7 +21,7 @@ from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
-from .util import UnionFind
+from .util import UnionFind, _associativity_report
 
 __all__ = [
     "FiniteGroupoid",
@@ -161,6 +161,8 @@ class FiniteGroupoid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
+        if other is self:
+            return True
         return (self.n_objects == other.n_objects and self.src == other.src
                 and self.tgt == other.tgt and self.id_of == other.id_of
                 and self.inv == other.inv and self.comp == other.comp)
@@ -181,8 +183,9 @@ def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
     """Category axioms, one violation per line, in order: table shapes, the
     range of every composition entry, identities, non-composable and missing
     composites (any of these ends the report), unit laws, the inverse laws of
-    an in-range ``inv`` table if one is given, associativity.  Pairs and
-    triples are walked through the arrows out of each object."""
+    an in-range ``inv`` table if one is given, associativity.  Pairs are
+    walked through the arrows out of each object; associativity is decided
+    from a generating set, walking every triple only if a generator fails."""
     n, m = n_objects, len(src)
     if len(tgt) != m or len(id_of) != n:
         return ["shape: src/tgt/id tables have inconsistent lengths"]
@@ -223,13 +226,7 @@ def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
                 report.append(f"inverse: {k} then inv({k}) is not the identity")
             if comp[(inv[k], k)] != id_of[tgt[k]]:
                 report.append(f"inverse: inv({k}) then {k} is not the identity")
-    for m1 in range(m):
-        for m2 in out_of[tgt[m1]]:
-            left = comp[(m1, m2)]
-            for m3 in out_of[tgt[m2]]:
-                if comp[(left, m3)] != comp[(m1, comp[(m2, m3)])]:
-                    report.append(f"associativity: ({m1},{m2},{m3})")
-    return report
+    return report + _associativity_report(src, tgt, out_of, comp)
 
 
 def _label_report(g: FiniteGroupoid) -> list[str]:

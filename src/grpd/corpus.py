@@ -724,10 +724,12 @@ def skyscraper_presheaf_action(site: FiniteSite, t: int, a: GammaAction) -> Pres
 def union_presheaf_action(p: PresheafGammaAction, q: PresheafGammaAction) -> PresheafGammaAction:
     site = p.presheaf.site
     at = tuple(gamma_union([p.at[u], q.at[u]]) for u in site.opens())
-    res = {
-        pair: disjoint_union_map([p.presheaf.res[pair], q.presheaf.res[pair]])
-        for pair in site.comparable_pairs()
-    }
+    res = {}
+    for (u, v) in site.comparable_pairs():
+        # on the section objects, not equal copies, as a loaded document has
+        # them: checking a restriction's endpoints then compares no tables
+        f = disjoint_union_map([p.presheaf.res[(u, v)], q.presheaf.res[(u, v)]])
+        res[(u, v)] = GroupoidMap(at[u].carrier, at[v].carrier, f.obj_map, f.mor_map)
     x = GroupoidPresheaf(site=site, sections=tuple(a.carrier for a in at), res=res)
     return PresheafGammaAction(x, at)
 

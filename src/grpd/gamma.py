@@ -67,10 +67,15 @@ def validate_gamma_action(a: GammaAction) -> list[str]:
     """The carrier's groupoid axioms (lines prefixed ``carrier ``; a bad carrier
     ends the report), then bar: permutations squaring to the identity that
     form a functor from the carrier to itself.  Empty means valid."""
+    report = [f"carrier {line}" for line in validate_groupoid(a.carrier)]
+    return report or _involution_report(a)
+
+
+def _involution_report(a: GammaAction) -> list[str]:
+    """The checks of ``validate_gamma_action`` after the carrier's, for a
+    carrier already known to be a groupoid."""
     g = a.carrier
-    report = [f"carrier {line}" for line in validate_groupoid(g)]
-    if report:
-        return report
+    report = []
     if len(a.bar_obj) != g.n_objects or len(a.bar_mor) != g.n_morphisms:
         return ["shape: bar tables do not match the carrier"]
     if sorted(a.bar_obj) != list(g.objects()) or sorted(a.bar_mor) != list(g.morphisms()):

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional, Sequence
 
+from .util import _associativity_report
+
 __all__ = [
     "FiniteGroup",
     "GroupAction",
@@ -69,9 +71,13 @@ class FiniteGroup:
 
 
 def validate_group(g: FiniteGroup) -> list[str]:
-    """Group axioms as a report; empty means valid."""
+    """A label table too short to name every element, then the group axioms,
+    as a report; empty means valid.  Associativity is decided as for a
+    category with one object (``util._associativity_report``)."""
     n = g.order
     report = []
+    if g.labels is not None and len(g.labels) < n:
+        report.append(f"labels: labels has {len(g.labels)} entries, expected {n}")
     if len(g.inv_table) != n:
         report.append(f"shape: inv table has length {len(g.inv_table)}, expected {n}")
         return report
@@ -92,16 +98,16 @@ def validate_group(g: FiniteGroup) -> list[str]:
     for a in range(n):
         if g.mul(a, g.inv(a)) != g.identity or g.mul(g.inv(a), a) != g.identity:
             report.append(f"inverse: inv({a}) is not a two-sided inverse")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-                    report.append(f"associativity: ({a},{b},{c})")
-    return report
+    # associativity as that of a category with one object
+    comp = {(a, b): c for a, row in enumerate(g.table) for b, c in enumerate(row)}
+    return report + _associativity_report((0,) * n, (0,) * n, [range(n)], comp)
 
 
 def _from_table(table, name, labels=None) -> FiniteGroup:
     n = len(table)
+    for a, row in enumerate(table):
+        if len(row) < n:
+            raise ValueError(f"row {a} has length {len(row)}, expected {n}")
     identity = None
     for e in range(n):
         if all(table[e][a] == a for a in range(n)) and all(table[a][e] == a for a in range(n)):

@@ -360,6 +360,8 @@ def load_diagram(doc: Any) -> FilteredDiagram:
     arrows_doc = doc.get("arrows")
     if not isinstance(arrows_doc, list) or len(arrows_doc) != index.n_arrows:
         raise SchemaError("diagram: one arrow map per index arrow expected")
+    if len(index.tgt) < index.n_arrows:
+        raise SchemaError("diagram: index tgt is shorter than src")
     arrows = []
     for u, row in enumerate(arrows_doc):
         i, j = index.src[u], index.tgt[u]
@@ -409,7 +411,7 @@ def load_document(doc: Any):
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object")
     kind = doc.get("kind")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:
         raise SchemaError(f"unknown kind {kind!r}")
     return _LOADERS[kind](doc)
 

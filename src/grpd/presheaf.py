@@ -28,6 +28,7 @@ from .core import (
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
+    _label_report,
     identity_map,
     is_fibration,
     is_weak_equivalence,
@@ -39,6 +40,7 @@ from .gamma import (
     EquivariantMap,
     GammaAction,
     HomotopyFixedPoints,
+    _involution_report,
     equivariance_witness,
     hfp,
     hfp_map,
@@ -117,6 +119,8 @@ class FiniteSite:
 def validate_site(s: FiniteSite) -> list[str]:
     report = []
     n = s.n_opens
+    if len(s.point_open) < s.n_points:
+        return ["shape: one least open per point expected"]
     for (u, v) in s.leq:
         if not (0 <= u < n and 0 <= v < n):
             report.append("shape: leq entry out of range")
@@ -250,9 +254,14 @@ class PresheafGammaAction:
 
 
 def validate_presheaf_gamma_action(a: PresheafGammaAction) -> list[str]:
-    from .gamma import validate_gamma_action
-
-    report = []
+    """The presheaf (``validate_presheaf``), then one involution per open on
+    the section there, then equivariance of the restrictions; empty means
+    valid.  A carrier equal to its section shares every table but the
+    labels with a section already checked by ``validate_presheaf``, so only
+    its labels are checked again (lines prefixed ``carrier ``)."""
+    report = validate_presheaf(a.presheaf)
+    if report:
+        return report
     s = a.presheaf.site
     if len(a.at) != s.n_opens:
         report.append("shape: one involution per open expected")
@@ -261,7 +270,9 @@ def validate_presheaf_gamma_action(a: PresheafGammaAction) -> list[str]:
         if a.at[u].carrier != a.presheaf.sections[u]:
             report.append(f"carrier: open {u}")
             continue
-        report.extend(f"open {u}: {line}" for line in validate_gamma_action(a.at[u]))
+        lines = ([f"carrier {line}" for line in _label_report(a.at[u].carrier)]
+                 or _involution_report(a.at[u]))
+        report.extend(f"open {u}: {line}" for line in lines)
     if report:
         return report
     for (u, v) in s.comparable_pairs():
@@ -311,15 +322,24 @@ def stalk(x: GroupoidPresheaf, t: int) -> Stalk:
     gpds = [x.sections[u] for u in opens]
     maps = [x.res_map(opens[i], opens[j]) for i, j in zip(cat.src, cat.tgt)]
     co = colimit_groupoids(cat, gpds, maps)
-    germs = {opens[i]: co.cocones[i] for i in range(len(opens))}
+    return Stalk(groupoid=co.groupoid, opens=opens,
+                 germs=_checked_germs(x, t, opens, co.cocones))
+
+
+def _checked_germs(x: GroupoidPresheaf, t: int, opens: Sequence[int],
+                   cocones: Sequence[GroupoidMap]) -> dict:
+    """The cocone maps of a colimit over the filter of t, keyed by open.  The
+    filter is principal, so the germ at the least open must be an
+    isomorphism; ``InvariantViolation`` if it is not."""
+    germs = dict(zip(opens, cocones, strict=True))
     least = x.site.point_open[t]
     germ = germs[least]
-    if not (len(set(germ.obj_map)) == co.groupoid.n_objects == x.sections[least].n_objects
-            and len(set(germ.mor_map)) == co.groupoid.n_morphisms
+    if not (len(set(germ.obj_map)) == germ.cod.n_objects == x.sections[least].n_objects
+            and len(set(germ.mor_map)) == germ.cod.n_morphisms
             == x.sections[least].n_morphisms):
         raise InvariantViolation(
             f"the germ map at the least open of point {t} is not an isomorphism")
-    return Stalk(groupoid=co.groupoid, opens=opens, germs=germs)
+    return germs
 
 
 def stalk_map(f: PresheafMap, t: int) -> GroupoidMap:
@@ -389,5 +409,9 @@ def presheaf_hfp(a: PresheafGammaAction) -> PresheafHfp:
 
 def stalk_commutation_check(a: PresheafGammaAction, t: int) -> ColimitComparison:
     """Compare the stalk of the fixed point presheaf with the fixed points of
-    the stalk, over the neighborhood filter of the point."""
-    return hfp_colimit_comparison(diagram_at_point(a, t))
+    the stalk, over the neighborhood filter of the point.  The comparison's
+    ``colimit`` is the stalk of the carriers, checked as ``stalk`` checks it."""
+    c = hfp_colimit_comparison(diagram_at_point(a, t))
+    _checked_germs(a.presheaf, t, a.presheaf.site.filter_opens(t),
+                   [e.map for e in c.colimit.cocones])
+    return c

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corpus
-from .cohomology import bg_hfp_decomposition, h1, skeletonize, z1
+from .cohomology import bg_hfp_decomposition, skeletonize
 from .colimit import NotFilteredError, colimit, filtered_witness, hfp_colimit_comparison, validate_diagram
 from .core import (
     FiniteGroupoid,
@@ -287,12 +287,12 @@ def suite_bg_decomposition(seed: int, size: str = "full") -> SuiteResult:
     mismatches = []
     not_weq = 0
     for i, (a, expected) in enumerate(zip(fixtures, EXPECTED_BG)):
-        classes = h1(a)
-        got = (len(z1(a)), len(classes),
+        dec = bg_hfp_decomposition(a)
+        classes = dec.classes  # the cocycle classes, which partition Z1
+        got = (sum(len(c.members) for c in classes), len(classes),
                tuple(sorted(len(c.stabilizer) for c in classes)))
         if got != expected:
             mismatches.append(f"fixture {i} ({a.group.name}): {got} != {expected}")
-        dec = bg_hfp_decomposition(a)
         if not dec.is_weak_equivalence:
             not_weq += 1
         sk = skeletonize(dec.fixed_points.groupoid)

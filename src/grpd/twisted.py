@@ -142,7 +142,10 @@ def z1_theta(d: InvolutiveGroupData) -> TwistedCocycleSet:
     g = d.group
     elements = tuple(x for x in g.elements() if g.mul(x, d.theta[x]) == g.identity)
     index = {x: i for i, x in enumerate(elements)}
-    bgrp, emb = induced_subgroup(g, d.b_elements)
+    if set(d.b_elements) == set(g.elements()):
+        bgrp, emb = g, tuple(g.elements())  # B = G: no subgroup to check or copy
+    else:
+        bgrp, emb = induced_subgroup(g, d.b_elements)
     act_rows = []
     for i in range(bgrp.order):
         b = emb[i]

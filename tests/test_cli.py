@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from grpd.cli import run
-from grpd.colimit import FilteredDiagram, FiniteCategory, filtered_witness
+from grpd.colimit import FilteredDiagram, FiniteCategory, colimit_groupoids, filtered_witness
 from grpd.corpus import (
     S3_TRANSPOSITION,
     constant_presheaf_action,
@@ -18,10 +18,12 @@ from grpd.corpus import (
     involutive_fixtures,
     nonfiltered_control_diagram,
     random_filtered_diagram,
+    random_presheaf_action,
+    random_site,
     skyscraper_presheaf_action,
 )
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
-from grpd.core import FiniteGroupoid, GroupoidMap, build_bg, identity_map
+from grpd.core import FiniteGroupoid, GroupoidMap, build_bg, identity_map, validate_groupoid
 from grpd.gamma import EquivariantMap, trivial_action
 from grpd.groups import conjugation_automorphism, cyclic_group
 from grpd.jsonio import dumps, load_groupoid
@@ -222,6 +224,34 @@ def test_colimit_command_decides_filteredness_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_stalk_command_builds_two_colimits_per_point(tmp_path, monkeypatch):
+    a = random_presheaf_action(random.Random(3))
+    f = write(tmp_path, "p.json", a)
+    calls = count_calls(monkeypatch, colimit_groupoids)
+    code, out = invoke(["stalk", f])
+    assert code == 0
+    n_points = a.presheaf.site.n_points
+    assert len(out.splitlines()) == n_points == 3
+    # the colimit of the carriers and the colimit of their fixed points
+    assert len(calls) == 2 * n_points
+
+
+def test_h1_command_computes_the_cocycles_once(tmp_path, monkeypatch):
+    f = write(tmp_path, "h1.json", gamma_group_fixtures()[8])
+    calls = count_calls(monkeypatch, z1_theta)
+    code, out = invoke(["h1", f])
+    assert code == 0 and out.startswith("group: ")
+    assert len(calls) == 1
+
+
+def test_validate_checks_each_presheaf_section_once(tmp_path, monkeypatch):
+    a = random_presheaf_action(random.Random(3))
+    f = write(tmp_path, "p.json", a)
+    calls = count_calls(monkeypatch, validate_groupoid)
+    assert invoke(["validate", f]) == (0, "ok\n")
+    assert len(calls) == a.presheaf.site.n_opens
+
+
 def test_colimit_command_on_control(tmp_path):
     f = write(tmp_path, "control.json", nonfiltered_control_diagram())
     code, out = invoke(["colimit", f])
@@ -365,3 +395,33 @@ def test_h1_and_twisted_validate_before_computing(tmp_path, capsys, command, doc
     code, out = invoke([command, f])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {f}: {problem}\n"
+
+
+def group_doc(**fields):
+    doc = json.loads(dumps(group_catalog()["S3"]))
+    doc.update(fields)
+    return doc
+
+
+def short_index_tgt():
+    doc = json.loads(dumps(random_filtered_diagram(random.Random(3))))
+    doc["index"]["tgt"].pop()
+    return doc
+
+
+# documents on which ``validate`` used to raise instead of reporting
+@pytest.mark.parametrize("doc, code, out, err", [
+    (group_doc(table=[[0, 1], [1]]), 2, "", "group: row 1 has length 1, expected 2"),
+    (group_doc(labels=["e"]), 1,
+     "labels: labels has 1 entries, expected 6\ninvalid: 1 problem(s)\n", None),
+    (edited(random_site(random.Random(5)), point_open=[]), 1,
+     "shape: one least open per point expected\ninvalid: 1 problem(s)\n", None),
+    (group_doc(kind=[]), 2, "", "unknown kind []"),
+    (short_index_tgt(), 2, "", "diagram: index tgt is shorter than src"),
+], ids=["group-short-row", "group-labels", "site-point-open", "kind-not-a-string",
+        "diagram-short-tgt"])
+def test_validate_reports_malformed_documents_without_a_traceback(
+        tmp_path, capsys, doc, code, out, err):
+    f = write_json(tmp_path, "bad.json", doc)
+    assert invoke(["validate", f]) == (code, out)
+    assert capsys.readouterr().err == ("" if err is None else f"error: {err}\n")

@@ -58,6 +58,25 @@ def test_validate_category_catches_missing_composite():
     assert any("missing" in line for line in validate_category(c))
 
 
+def test_validate_category_reports_every_non_associative_triple():
+    # object 0 carries id 0, an idempotent x = 1 and y = 2 with x.y = x,
+    # y.x = y and y.y = id: unital, not a groupoid (x has no inverse) and not
+    # associative.  f = 3 runs from 0 to object 1, whose identity is 4.
+    endo = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2,
+            (1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 0}
+    comp = dict(endo)
+    comp.update({(e, 3): 3 for e in (0, 1, 2)})
+    comp.update({(3, 4): 3, (4, 4): 4})
+    c = FiniteCategory(n_objects=2, src=(0, 0, 0, 0, 1), tgt=(0, 0, 0, 1, 1),
+                       id_of=(0, 4), comp=comp)
+    naive = [f"associativity: ({a},{b},{d})"
+             for a in c.arrows() for b in c.arrows() for d in c.arrows()
+             if c.tgt[a] == c.src[b] and c.tgt[b] == c.src[d]
+             and comp[comp[a, b], d] != comp[a, comp[b, d]]]
+    assert validate_category(c) == naive == ["associativity: (2,1,2)",
+                                             "associativity: (2,2,1)"]
+
+
 def test_filtered_witness_on_degenerate_shapes():
     empty = FiniteCategory(n_objects=0, src=(), tgt=(), id_of=(), comp={})
     assert filtered_witness(empty) is not None

@@ -1,10 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grpd.core import (
+    _category_report,
     NotFreeError,
     action_mor,
     NotNormalError,
@@ -30,8 +32,15 @@ from grpd.core import (
     FiniteGroupoid,
     GroupoidMap,
 )
-from grpd.corpus import corrupted_bg_z2, small_groupoid_catalog
+from grpd.corpus import (
+    corrupted_bg_z2,
+    gamma_group_fixtures,
+    random_groupoid,
+    small_groupoid_catalog,
+    swap_corpus,
+)
 from grpd.groups import (
+    FiniteGroup,
     GroupAction,
     cyclic_group,
     dihedral_group,
@@ -39,9 +48,10 @@ from grpd.groups import (
     quotient_group,
     symmetric_group,
     trivial_point_action,
+    validate_group,
 )
 from grpd.suites import naive_is_fibration, naive_is_weak_equivalence
-from grpd.util import UnionFind
+from grpd.util import UnionFind, _associativity_report
 
 
 def test_small_catalog_is_valid():
@@ -158,6 +168,73 @@ def test_validate_groupoid_agrees_with_the_quantifier_reference():
                 seen.update(line.split(":")[0] for line in expected)
     assert {"composition-domain", "composition", "unit", "inverse",
             "associativity"} <= seen
+
+
+# A loop of order 5 that is not a group: unital, every element its own
+# inverse, every row and column a permutation, but not associative.
+LOOP5 = ((0, 1, 2, 3, 4),
+         (1, 0, 3, 4, 2),
+         (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1),
+         (4, 3, 1, 2, 0))
+
+
+def test_a_loop_that_is_not_a_group_takes_the_triple_walk():
+    n = len(LOOP5)
+    g = FiniteGroupoid(1, (0,) * n, (0,) * n, (0,), range(n),
+                       {(a, b): LOOP5[a][b] for a in range(n) for b in range(n)})
+    expected = reference_validate_groupoid(g)
+    assert expected and all(line.startswith("associativity: ") for line in expected)
+    assert validate_groupoid(g) == expected
+    assert validate_group(FiniteGroup(LOOP5, identity=0, inv_table=tuple(range(n)))) == expected
+
+
+class CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_associativity_of_bg_s5_is_decided_from_generators():
+    g = build_bg(symmetric_group(5))
+    comp = CountingDict(g.comp)
+    assert _associativity_report(g.src, g.tgt, [list(g.morphisms())], comp) == []
+    # the triple walk looks up 3 composites for each of the 120^3 triples
+    assert comp.lookups < 3 * 120 ** 3 // 10
+
+
+@functools.cache
+def flip_pool():
+    """Groupoids to mutate: the small catalog, the swap corpus, the one-object
+    groupoids of the group fixtures and seeded random groupoids."""
+    rng = random.Random("light-differential")
+    pool = (list(small_groupoid_catalog()) + list(swap_corpus())
+            + [build_bg(a.group) for a in gamma_group_fixtures()]
+            + [random_groupoid(rng, 24) for _ in range(12)])
+    return [g for g in pool if 2 <= g.n_morphisms <= 36]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_category_report_agrees_with_the_reference_on_one_flipped_composite(data):
+    g = data.draw(st.sampled_from(flip_pool()))
+    comp = dict(g.comp)
+    pair = data.draw(st.sampled_from(sorted(comp)))
+    old = comp[pair]
+    # a composite moved within its hom set keeps the endpoints right, so the
+    # report goes on to the unit, inverse and associativity laws
+    same_hom = [k for k in g.hom(g.src[old], g.tgt[old]) if k != old]
+    if same_hom and data.draw(st.booleans()):
+        comp[pair] = data.draw(st.sampled_from(same_hom))
+    else:
+        comp[pair] = data.draw(st.sampled_from([k for k in g.morphisms() if k != old]))
+    bad = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, comp)
+    assert (_category_report(bad.n_objects, bad.src, bad.tgt, bad.id_of, bad.comp, bad.inv)
+            == reference_validate_groupoid(bad))
 
 
 def test_validate_groupoid_reports_an_inverse_with_wrong_endpoints():

@@ -4,6 +4,7 @@ import pytest
 
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
+    FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
     build_bg,
@@ -23,11 +24,12 @@ from grpd.corpus import (
     random_site,
     skyscraper_presheaf_action,
 )
-from grpd.gamma import hfp, trivial_action
+from grpd.gamma import GammaAction, hfp, trivial_action, validate_gamma_action
 from grpd.groups import cyclic_group
 from grpd.presheaf import (
     FiniteSite,
     GroupoidPresheaf,
+    PresheafGammaAction,
     PresheafMap,
     constant_presheaf,
     diagram_at_point,
@@ -231,3 +233,37 @@ def test_random_sites_and_presheaves_validate():
         assert validate_site(a.presheaf.site) == []
         assert validate_presheaf(a.presheaf) == []
         assert validate_presheaf_gamma_action(a) == []
+
+
+def test_carriers_equal_to_their_sections_are_checked_like_carriers():
+    # Each carrier is a copy of its section, not the section object: the
+    # report per open is still validate_gamma_action's, prefixed by the open.
+    a = random_presheaf_action(random.Random("presheaf-test:copies"))
+
+    def copy(g, obj_labels):
+        return FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, g.comp,
+                              obj_labels=obj_labels, mor_labels=g.mor_labels)
+
+    def with_carriers(obj_labels, bar_mor=lambda b: b.bar_mor):
+        at = tuple(GammaAction(copy(b.carrier, obj_labels(b.carrier)), b.bar_obj,
+                               bar_mor(b)) for b in a.at)
+        return PresheafGammaAction(a.presheaf, at)
+
+    def reference(p):
+        return [f"open {u}: {line}"
+                for u, b in enumerate(p.at) for line in validate_gamma_action(b)]
+
+    cases = [
+        with_carriers(lambda g: g.obj_labels),
+        with_carriers(lambda g: ("x",) * (g.n_objects + 1)),
+        with_carriers(lambda g: g.obj_labels, bar_mor=lambda b: b.bar_mor[:-1]),
+    ]
+    for p in cases:
+        assert all(b.carrier is not c and b.carrier == c
+                   for b, c in zip(p.at, p.presheaf.sections))
+        assert validate_presheaf_gamma_action(p) == reference(p)
+    assert validate_presheaf_gamma_action(cases[0]) == []
+    assert validate_presheaf_gamma_action(cases[1])[0].startswith(
+        "open 0: carrier labels: obj_labels has ")
+    assert validate_presheaf_gamma_action(cases[2])[0] == (
+        "open 0: shape: bar tables do not match the carrier")
