@@ -18,15 +18,13 @@ from pathlib import Path
 
 from .cohomology import GroupGammaAction, h1, validate_group_gamma_action
 from .colimit import (FilteredDiagram, NotFilteredError, filtered_witness,
-                      hfp_colimit_comparison, validate_category,
-                      validate_diagram)
+                      hfp_colimit_comparison, validate_diagram)
 from .core import (FiniteGroupoid, InvariantViolation, _label_report,
                    components, groupoid_cardinality, is_fibration,
-                   validate_groupoid)
+                   validate_category, validate_groupoid)
 from .gamma import GammaAction, hfp, validate_gamma_action
 from .groups import FiniteGroup, validate_group
-from .jsonio import (SchemaError, dump_gamma_action, dump_groupoid,
-                     load_document, to_dot)
+from .jsonio import SchemaError, dump_document, load_document, to_dot
 from .presheaf import (FiniteSite, PresheafGammaAction,
                        stalk_commutation_check,
                        validate_presheaf_gamma_action, validate_site)
@@ -139,7 +137,7 @@ def _cmd_hfp(args, out) -> int:
     fp = hfp(_document(args.file, GammaAction, "gamma-action"))
     g = fp.groupoid
     if args.json:
-        _emit(args, out, _json_text(dump_groupoid(g)))
+        _emit(args, out, _json_text(dump_document(g)))
         return 0
     text = (f"objects: {g.n_objects}\n"
             f"morphisms: {g.n_morphisms}\n"
@@ -217,7 +215,7 @@ def _cmd_colimit(args, out) -> int:
     if args.json:
         doc = {
             "filtered": witness is None,
-            "colimit": dump_gamma_action(c.colimit.action),
+            "colimit": dump_document(c.colimit.action),
             "fixed_points_of_colimit": {
                 "objects": c.rhs.groupoid.n_objects,
                 "morphisms": c.rhs.groupoid.n_morphisms,

@@ -19,18 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import FiniteGroupoid, GroupoidMap, InvariantViolation, _category_report, union_offsets
-from .gamma import EquivariantMap, GammaAction, HomotopyFixedPoints, hfp, hfp_map
+from .core import (FiniteCategory, FiniteGroupoid, GroupoidMap, InvariantViolation,
+                   identity_map, union_offsets, validate_functor)
+from .gamma import (EquivariantMap, GammaAction, HomotopyFixedPoints, equivariance_witness,
+                    hfp, hfp_map, validate_gamma_action)
 from .util import UnionFind
 
 __all__ = [
-    "FiniteCategory",
     "FilteredDiagram",
     "NotFilteredError",
     "GroupoidColimit",
     "ColimitResult",
     "ColimitComparison",
-    "validate_category",
     "filtered_witness",
     "validate_diagram",
     "colimit_groupoids",
@@ -43,33 +43,6 @@ class NotFilteredError(ValueError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class FiniteCategory:
-    """A finite category: arrows with src/tgt, identities, composition table.
-
-    Like groupoid composition, ``comp[(u, v)]`` is diagrammatic "u then v".
-    """
-
-    n_objects: int
-    src: tuple[int, ...]
-    tgt: tuple[int, ...]
-    id_of: tuple[int, ...]
-    comp: dict = field(hash=False)
-
-    @property
-    def n_arrows(self) -> int:
-        return len(self.src)
-
-    def objects(self) -> range:
-        return range(self.n_objects)
-
-    def arrows(self) -> range:
-        return range(self.n_arrows)
-
-    def hom(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(u for u in self.arrows() if self.src[u] == i and self.tgt[u] == j)
 
 
 def _poset_category(n: int, leq) -> tuple[FiniteCategory, dict]:
@@ -95,11 +68,6 @@ def _poset_category(n: int, leq) -> tuple[FiniteCategory, dict]:
     return cat, arrow_id
 
 
-def validate_category(c: FiniteCategory) -> list[str]:
-    """The category axioms, one violation per line; empty means valid."""
-    return _category_report(c.n_objects, c.src, c.tgt, c.id_of, c.comp)
-
-
 def filtered_witness(c: FiniteCategory) -> Optional[str]:
     """None if the category is filtered, else a description of a failure.
 
@@ -108,19 +76,17 @@ def filtered_witness(c: FiniteCategory) -> Optional[str]:
     """
     if c.n_objects == 0:
         return "the index category is empty"
+    out_of = c.out_of
+    reach = [{c.tgt[u] for u in arrows} for arrows in out_of]
     for i in c.objects():
         for j in c.objects():
-            if not any(c.hom(i, k) and c.hom(j, k) for k in c.objects()):
+            if reach[i].isdisjoint(reach[j]):
                 return f"objects {i} and {j} admit no cocone"
-    for u in c.arrows():
-        for v in c.arrows():
-            if u >= v or c.src[u] != c.src[v] or c.tgt[u] != c.tgt[v]:
-                continue
-            j = c.tgt[u]
-            if not any(
-                c.comp[(u, w)] == c.comp[(v, w)]
-                for w in c.arrows() if c.src[w] == j
-            ):
+    compose = c.compose
+    for u in c.morphisms():
+        after = out_of[c.tgt[u]]
+        for v in c.hom(c.src[u], c.tgt[u]):
+            if v > u and not any(compose(u, w) == compose(v, w) for w in after):
                 return f"parallel arrows {u} and {v} are never equalized"
     return None
 
@@ -135,12 +101,9 @@ class FilteredDiagram:
 
 
 def validate_diagram(d: FilteredDiagram) -> list[str]:
-    from .gamma import equivariance_witness, validate_gamma_action
-    from .core import identity_map, validate_functor
-
     report = []
     c = d.index
-    if len(d.nodes) != c.n_objects or len(d.arrows) != c.n_arrows:
+    if len(d.nodes) != c.n_objects or len(d.arrows) != c.n_morphisms:
         report.append("shape: one node per index object and one map per arrow expected")
         return report
     report.extend(
@@ -149,12 +112,12 @@ def validate_diagram(d: FilteredDiagram) -> list[str]:
     )
     if report:
         return report
-    for u in c.arrows():
+    for u in c.morphisms():
         e = d.arrows[u]
-        if e.dom_action is not d.nodes[c.src[u]] and e.dom_action != d.nodes[c.src[u]]:
+        if e.dom_action != d.nodes[c.src[u]]:
             report.append(f"arrow {u}: domain is not the source node")
             continue
-        if e.cod_action is not d.nodes[c.tgt[u]] and e.cod_action != d.nodes[c.tgt[u]]:
+        if e.cod_action != d.nodes[c.tgt[u]]:
             report.append(f"arrow {u}: codomain is not the target node")
             continue
         functor_report = validate_functor(e.map)
@@ -211,7 +174,7 @@ def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
     obj_off, mor_off = union_offsets(gpds)
     uf_obj = UnionFind(sum(g.n_objects for g in gpds))
     uf_mor = UnionFind(sum(g.n_morphisms for g in gpds))
-    for u in index.arrows():
+    for u in index.morphisms():
         i, j = index.src[u], index.tgt[u]
         f = maps[u]
         if (i == j and f.obj_map == tuple(gpds[i].objects())
@@ -305,7 +268,7 @@ def hfp_colimit_comparison(d: FilteredDiagram,
     fps = [hfp(a) for a in d.nodes]
     arrow_maps = [
         hfp_map(d.arrows[u], fps[d.index.src[u]], fps[d.index.tgt[u]])
-        for u in d.index.arrows()
+        for u in d.index.morphisms()
     ]
     lhs = colimit_groupoids(d.index, [fp.groupoid for fp in fps], arrow_maps)
     germs = [c.map for c in co.cocones]

@@ -1,16 +1,19 @@
-"""Finite groupoids with tabulated source, target, identity and inverse maps.
+"""Finite categories and groupoids with tabulated source, target, identity
+and inverse maps.
 
 Objects and morphisms are dense integer ids.  Composition is diagrammatic:
 ``compose(m1, m2)`` is "m1 then m2" and is defined exactly when
-``tgt[m1] == src[m2]``.  It is given either as a table (documents and
-hand-written fixtures) or as a rule computed from the structure (the action
-groupoids, products and disjoint unions built here, and the fixed points of
-``grpd.gamma``); ``comp``, the full table, is built from a rule on first
-access.  Everything is finite and explicit; validation returns reports rather
-than trusting constructors.
+``tgt[m1] == src[m2]``.  It is given either as a table (documents, index
+categories and hand-written fixtures) or as a rule computed from the
+structure (the action groupoids, products and disjoint unions built here,
+and the fixed points of ``grpd.gamma``); ``comp``, the full table, is built
+from a rule on first access.  Everything is finite and explicit; validation
+returns reports rather than trusting constructors.
 
-A groupoid is a category whose arrows are invertible, so ``validate_groupoid``
-and ``colimit.validate_category`` share one checker, ``_category_report``.
+A groupoid is a category whose arrows are invertible: ``FiniteGroupoid``
+extends ``FiniteCategory`` by its inverse table and labels, and
+``validate_groupoid`` and ``validate_category`` share one checker,
+``_category_report``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multi
 from .util import UnionFind, _associativity_report
 
 __all__ = [
+    "FiniteCategory",
     "FiniteGroupoid",
     "GroupoidMap",
     "NotNormalError",
     "NotFreeError",
     "InvariantViolation",
     "QuotientComparison",
+    "validate_category",
     "validate_groupoid",
     "validate_functor",
     "identity_map",
@@ -72,38 +77,34 @@ class NotFreeError(ValueError):
         self.point = point
 
 
-class FiniteGroupoid:
-    """A finite groupoid: objects 0..n_objects-1, morphisms 0..n_morphisms-1.
+class FiniteCategory:
+    """A finite category: objects 0..n_objects-1, morphisms 0..n_morphisms-1.
 
-    ``id_of[x]`` is the identity at x and ``inv[m]`` the inverse morphism.
-    The ``comp`` argument is either a table, a dict from composable pairs to
-    composites, or a rule, a callable ``rule(m1, m2)`` that raises
-    ``KeyError`` on a pair that is not composable, just as a table lookup
-    does.  ``compose(m1, m2)`` reads either; ``compositions()`` walks every
-    composable pair of either without building anything; the ``comp``
-    property is the full table, built from that walk on first access and
-    read by ``compose`` from then on, since a lookup is faster than a nested
-    rule.  Labels are optional and never take part in equality.
+    ``id_of[x]`` is the identity at x.  The ``comp`` argument is either a
+    table, a dict from composable pairs to composites, or a rule, a callable
+    ``rule(m1, m2)`` that raises ``KeyError`` on a pair that is not
+    composable, just as a table lookup does.  ``compose(m1, m2)`` reads
+    either; ``compositions()`` walks every composable pair of either without
+    building anything; the ``comp`` property is the full table, built from
+    that walk on first access and read by ``compose`` from then on, since a
+    lookup is faster than a nested rule.  ``hom`` and ``out_of``, the
+    morphisms out of each object, are indexed once per instance.
     """
 
-    __slots__ = ("n_objects", "src", "tgt", "id_of", "inv", "compose", "_comp",
-                 "obj_labels", "mor_labels", "_hom")
+    __slots__ = ("n_objects", "src", "tgt", "id_of", "compose", "_comp", "_hom", "_out_of")
 
-    def __init__(self, n_objects, src, tgt, id_of, inv, comp,
-                 obj_labels=None, mor_labels=None):
+    def __init__(self, n_objects, src, tgt, id_of, comp):
         self.n_objects = int(n_objects)
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.id_of = tuple(id_of)
-        self.inv = tuple(inv)
         if callable(comp):
             self._comp = None
             self.compose = comp
         else:
             self._use_table(dict(comp))
-        self.obj_labels = None if obj_labels is None else tuple(obj_labels)
-        self.mor_labels = None if mor_labels is None else tuple(mor_labels)
         self._hom = None
+        self._out_of = None
 
     def _use_table(self, table: dict) -> None:
         self._comp = table
@@ -121,7 +122,7 @@ class FiniteGroupoid:
         arrows out of each object, storing nothing."""
         if self._comp is not None:
             return iter(self._comp.items())
-        out_of = _arrows_out(self.n_objects, self.src)
+        out_of = self.out_of
         compose = self.compose
         return chain.from_iterable(
             zip(zip(repeat(m1), out_of[y]), map(compose, repeat(m1), out_of[y]))
@@ -137,6 +138,16 @@ class FiniteGroupoid:
     def morphisms(self) -> range:
         return range(self.n_morphisms)
 
+    @property
+    def out_of(self) -> tuple[tuple[int, ...], ...]:
+        """The morphisms out of each object, in increasing order."""
+        if self._out_of is None:
+            out_of = [[] for _ in self.objects()]
+            for k, x in enumerate(self.src):
+                out_of[x].append(k)
+            self._out_of = tuple(map(tuple, out_of))
+        return self._out_of
+
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         if self._hom is None:
             table = {}
@@ -144,6 +155,33 @@ class FiniteGroupoid:
                 table.setdefault((self.src[m], self.tgt[m]), []).append(m)
             self._hom = {k: tuple(v) for k, v in table.items()}
         return self._hom.get((x, y), ())
+
+    def _tables(self) -> tuple:
+        return self.n_objects, self.src, self.tgt, self.id_of
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or (self._tables() == other._tables()
+                                 and self.comp == other.comp)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(objects={self.n_objects}, "
+                f"morphisms={self.n_morphisms})")
+
+
+class FiniteGroupoid(FiniteCategory):
+    """A finite category whose morphisms are invertible: ``inv[m]`` is the
+    inverse of m.  Labels are optional and never take part in equality."""
+
+    __slots__ = ("inv", "obj_labels", "mor_labels")
+
+    def __init__(self, n_objects, src, tgt, id_of, inv, comp,
+                 obj_labels=None, mor_labels=None):
+        super().__init__(n_objects, src, tgt, id_of, comp)
+        self.inv = tuple(inv)
+        self.obj_labels = None if obj_labels is None else tuple(obj_labels)
+        self.mor_labels = None if mor_labels is None else tuple(mor_labels)
 
     def aut(self, x: int) -> tuple[int, ...]:
         return self.hom(x, x)
@@ -158,41 +196,26 @@ class FiniteGroupoid:
             return self.mor_labels[m]
         return f"m{m}"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteGroupoid):
-            return NotImplemented
-        if other is self:
-            return True
-        return (self.n_objects == other.n_objects and self.src == other.src
-                and self.tgt == other.tgt and self.id_of == other.id_of
-                and self.inv == other.inv and self.comp == other.comp)
-
-    def __repr__(self) -> str:
-        return f"FiniteGroupoid(objects={self.n_objects}, morphisms={self.n_morphisms})"
+    def _tables(self) -> tuple:
+        return super()._tables() + (self.inv,)
 
 
-def _arrows_out(n_objects: int, src: Sequence[int]) -> list[list[int]]:
-    """The morphisms out of each object, in increasing order."""
-    out_of = [[] for _ in range(n_objects)]
-    for k, x in enumerate(src):
-        out_of[x].append(k)
-    return out_of
-
-
-def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
+def _category_report(c: FiniteCategory, inv=None) -> list[str]:
     """Category axioms, one violation per line, in order: table shapes, the
     range of every composition entry, identities, non-composable and missing
     composites (any of these ends the report), unit laws, the inverse laws of
     an in-range ``inv`` table if one is given, associativity.  Pairs are
     walked through the arrows out of each object; associativity is decided
     from a generating set, walking every triple only if a generator fails."""
-    n, m = n_objects, len(src)
+    n, m = c.n_objects, c.n_morphisms
+    src, tgt, id_of = c.src, c.tgt, c.id_of
     if len(tgt) != m or len(id_of) != n:
         return ["shape: src/tgt/id tables have inconsistent lengths"]
     if any(not 0 <= x < n for x in src) or any(not 0 <= x < n for x in tgt):
         return ["shape: src/tgt entry out of range"]
     if any(not 0 <= k < m for k in id_of):
         return ["shape: id entry out of range"]
+    comp = c.comp
     for (m1, m2), m3 in comp.items():
         if not (0 <= m1 < m and 0 <= m2 < m and 0 <= m3 < m):
             return [f"composition-domain: entry ({m1},{m2}) out of range"]
@@ -205,7 +228,7 @@ def _category_report(n_objects, src, tgt, id_of, comp, inv=None) -> list[str]:
             report.append(f"composition-domain: ({m1},{m2}) is not composable")
         elif src[m3] != src[m1] or tgt[m3] != tgt[m2]:
             report.append(f"composition: comp({m1},{m2}) has wrong endpoints")
-    out_of = _arrows_out(n, src)
+    out_of = c.out_of
     for m1 in range(m):
         for m2 in out_of[tgt[m1]]:
             if (m1, m2) not in comp:
@@ -246,7 +269,12 @@ def validate_groupoid(g: FiniteGroupoid) -> list[str]:
         return report + ["shape: inv table has the wrong length"]
     if any(not 0 <= k < m for k in g.inv):
         return report + ["shape: inv entry out of range"]
-    return report + _category_report(g.n_objects, g.src, g.tgt, g.id_of, g.comp, g.inv)
+    return report + _category_report(g, g.inv)
+
+
+def validate_category(c: FiniteCategory) -> list[str]:
+    """The category axioms, one violation per line; empty means valid."""
+    return _category_report(c)
 
 
 @dataclass(frozen=True)
@@ -259,7 +287,7 @@ class GroupoidMap:
     mor_map: tuple[int, ...]
 
     def then(self, other: "GroupoidMap") -> "GroupoidMap":
-        if self.cod is not other.dom and self.cod != other.dom:
+        if self.cod != other.dom:
             raise ValueError("maps are not composable")
         return GroupoidMap(
             dom=self.dom,
@@ -393,18 +421,10 @@ def component_index(g: FiniteGroupoid) -> list[int]:
 
 def is_fibration(f: GroupoidMap) -> bool:
     """Every morphism out of an image object lifts to a morphism out of the source."""
-    dom, cod = f.dom, f.cod
-    images_by_src: dict[int, set[int]] = {x: set() for x in dom.objects()}
-    for b in dom.morphisms():
-        images_by_src[dom.src[b]].add(f.mor_map[b])
-    cod_by_src: dict[int, list[int]] = {y: [] for y in cod.objects()}
-    for m in cod.morphisms():
-        cod_by_src[cod.src[m]].append(m)
-    for x in dom.objects():
-        available = images_by_src[x]
-        for alpha in cod_by_src[f.obj_map[x]]:
-            if alpha not in available:
-                return False
+    mor_map, cod_out_of = f.mor_map, f.cod.out_of
+    for x, arrows in enumerate(f.dom.out_of):
+        if not {mor_map[b] for b in arrows}.issuperset(cod_out_of[f.obj_map[x]]):
+            return False
     return True
 
 

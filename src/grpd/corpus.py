@@ -14,8 +14,9 @@ import random
 from typing import Optional, Sequence
 
 from .cohomology import GroupGammaAction, bg_gamma_action
-from .colimit import FilteredDiagram, FiniteCategory, _poset_category
+from .colimit import FilteredDiagram, _poset_category
 from .core import (
+    FiniteCategory,
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
@@ -26,6 +27,7 @@ from .core import (
     disjoint_union,
     disjoint_union_map,
     identity_map,
+    relabel,
     terminal_groupoid,
 )
 from .gamma import (
@@ -61,8 +63,9 @@ from .presheaf import (
     constant_presheaf,
     sierpinski_site,
     site_from_open_sets,
+    terminal_presheaf,
 )
-from .twisted import InvolutiveGroupData, validate_involutive_data
+from .twisted import InvolutiveGroupData, build_double_coset_groupoid, validate_involutive_data
 
 __all__ = [
     "group_catalog",
@@ -317,8 +320,6 @@ def random_groupoid(rng: random.Random, max_morphisms: int = 60) -> FiniteGroupo
     u = disjoint_union(parts) if len(parts) > 1 else parts[0]
     if rng.random() < 0.5:
         obj_perm, mor_perm = _random_perms(rng, u)
-        from .core import relabel
-
         u = relabel(u, obj_perm, mor_perm)
     return u
 
@@ -375,8 +376,6 @@ def _gamma_eg(rng, budget):
 
 
 def _gamma_double_coset(rng, budget):
-    from .twisted import build_double_coset_groupoid
-
     pool = [d for d in involutive_fixtures()
             if len(d.b_elements) ** 2 * d.group.order <= budget]
     if not pool:
@@ -549,7 +548,7 @@ def _chain_diagram(rng: random.Random) -> FilteredDiagram:
             built[(i, j)] = identity_map(nodes[i].carrier)
         else:
             built[(i, j)] = built[(i, j - 1)].then(steps[j - 1])
-    arrows = [None] * cat.n_arrows
+    arrows = [None] * cat.n_morphisms
     for (i, j), a in aid.items():
         arrows[a] = EquivariantMap(built[(i, j)], nodes[i], nodes[j])
     return FilteredDiagram(cat, tuple(nodes), tuple(arrows))
@@ -563,7 +562,7 @@ def _bar_power_diagram(rng: random.Random) -> FilteredDiagram:
     a = random_gamma_action(rng, 40)
     bar = GroupoidMap(a.carrier, a.carrier, a.bar_obj, a.bar_mor)
     cat, aid = _poset_category(4, lambda i, j: i == j or (i, j) in below)
-    arrows = [None] * cat.n_arrows
+    arrows = [None] * cat.n_morphisms
     for (i, j), k in aid.items():
         f = identity_map(a.carrier) if (height[j] - height[i]) % 2 == 0 else bar
         arrows[k] = EquivariantMap(f, a, a)
@@ -788,8 +787,6 @@ def _sierpinski_skyscraper_at_bottom(value: FiniteGroupoid) -> GroupoidPresheaf:
 def local_not_sectionwise_weq() -> PresheafMap:
     """An isomorphism on every stalk that fails to be a weak equivalence on
     the section at the empty open."""
-    from .presheaf import terminal_presheaf
-
     site = sierpinski_site()
     bz2 = build_bg(cyclic_group(2))
     x = _sierpinski_skyscraper_at_bottom(bz2)
@@ -802,8 +799,6 @@ def local_not_sectionwise_weq() -> PresheafMap:
 def local_not_sectionwise_fib() -> PresheafMap:
     """An isomorphism on every stalk that fails to be a fibration on the
     section at the empty open."""
-    from .presheaf import terminal_presheaf
-
     site = sierpinski_site()
     bz2 = build_bg(cyclic_group(2))
     x = terminal_presheaf(site)

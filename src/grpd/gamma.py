@@ -12,7 +12,7 @@ module.  That is the only place the two conventions need translating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -21,8 +21,11 @@ from .core import (
     GroupoidMap,
     InvariantViolation,
     discrete_groupoid,
+    disjoint_union,
     is_weak_equivalence,
     product,
+    relabel,
+    union_offsets,
     validate_functor,
     validate_groupoid,
 )
@@ -313,8 +316,6 @@ def swap_comparison(x: FiniteGroupoid) -> SwapComparison:
 
 def gamma_union(parts: Sequence[GammaAction]) -> GammaAction:
     """Disjoint union of involutions, bar acting within each summand."""
-    from .core import disjoint_union, union_offsets
-
     gs = [a.carrier for a in parts]
     obj_off, mor_off = union_offsets(gs)
     bar_obj, bar_mor = [], []
@@ -337,8 +338,6 @@ def gamma_product(a: GammaAction, b: GammaAction) -> GammaAction:
 
 def gamma_relabel(a: GammaAction, obj_perm: Sequence[int], mor_perm: Sequence[int]) -> GammaAction:
     """Transport an involution along a renaming of the carrier."""
-    from .core import relabel
-
     g = relabel(a.carrier, obj_perm, mor_perm)
     bar_obj = [0] * len(obj_perm)
     bar_mor = [0] * len(mor_perm)

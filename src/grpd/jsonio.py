@@ -13,8 +13,8 @@ import json
 from typing import Any
 
 from .cohomology import GroupGammaAction
-from .colimit import FiniteCategory, FilteredDiagram
-from .core import FiniteGroupoid, GroupoidMap
+from .colimit import FilteredDiagram
+from .core import FiniteCategory, FiniteGroupoid, GroupoidMap
 from .gamma import EquivariantMap, GammaAction
 from .groups import FiniteGroup, _from_table
 from .presheaf import FiniteSite, GroupoidPresheaf, PresheafGammaAction
@@ -23,22 +23,6 @@ from .twisted import InvolutiveGroupData
 __all__ = [
     "SchemaError",
     "SCHEMA_VERSION",
-    "dump_groupoid",
-    "load_groupoid",
-    "dump_group",
-    "load_group",
-    "dump_group_involution",
-    "load_group_involution",
-    "dump_gamma_action",
-    "load_gamma_action",
-    "dump_twisted_data",
-    "load_twisted_data",
-    "dump_site",
-    "load_site",
-    "dump_presheaf_action",
-    "load_presheaf_action",
-    "dump_diagram",
-    "load_diagram",
     "dump_document",
     "load_document",
     "dumps",
@@ -93,19 +77,37 @@ def _triples(doc: dict, key: str, kind: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# groupoids
+# categories and groupoids
 
 
-def dump_groupoid(g: FiniteGroupoid) -> dict:
+def _dump_category_fields(c: FiniteCategory) -> dict:
+    return {
+        "n_objects": c.n_objects,
+        "src": list(c.src),
+        "tgt": list(c.tgt),
+        "id_of": list(c.id_of),
+        "comp": [[a, b, w] for (a, b), w in sorted(c.comp.items())],
+    }
+
+
+def _load_category_fields(doc: dict, kind: str, where: str = "", extra=()) -> list:
+    """The arguments of a category constructor, read from ``doc``:
+    ``n_objects``, ``src``, ``tgt``, ``id_of``, the integer lists named in
+    ``extra``, then ``comp``; schema errors are prefixed ``kind: `` and name
+    ``n_objects`` after ``where``."""
+    n = doc.get("n_objects")
+    if not isinstance(n, int) or n < 0:
+        raise SchemaError(f"{kind}: {where}n_objects must be a nonnegative integer")
+    lists = [_int_list(doc, key, kind) for key in ("src", "tgt", "id_of", *extra)]
+    return [n, *lists, _triples(doc, "comp", kind)]
+
+
+def _dump_groupoid(g: FiniteGroupoid) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "groupoid",
-        "n_objects": g.n_objects,
-        "src": list(g.src),
-        "tgt": list(g.tgt),
-        "id_of": list(g.id_of),
+        **_dump_category_fields(g),
         "inv": list(g.inv),
-        "comp": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
     }
     if g.obj_labels is not None:
         doc["obj_labels"] = list(g.obj_labels)
@@ -114,18 +116,10 @@ def dump_groupoid(g: FiniteGroupoid) -> dict:
     return doc
 
 
-def load_groupoid(doc: Any) -> FiniteGroupoid:
+def _load_groupoid(doc: Any) -> FiniteGroupoid:
     doc = _require(doc, "groupoid")
-    n = doc.get("n_objects")
-    if not isinstance(n, int) or n < 0:
-        raise SchemaError("groupoid: n_objects must be a nonnegative integer")
     return FiniteGroupoid(
-        n,
-        _int_list(doc, "src", "groupoid"),
-        _int_list(doc, "tgt", "groupoid"),
-        _int_list(doc, "id_of", "groupoid"),
-        _int_list(doc, "inv", "groupoid"),
-        _triples(doc, "comp", "groupoid"),
+        *_load_category_fields(doc, "groupoid", extra=("inv",)),
         obj_labels=_str_list(doc, "obj_labels", "groupoid"),
         mor_labels=_str_list(doc, "mor_labels", "groupoid"),
     )
@@ -135,7 +129,7 @@ def load_groupoid(doc: Any) -> FiniteGroupoid:
 # groups
 
 
-def dump_group(g: FiniteGroup) -> dict:
+def _dump_group(g: FiniteGroup) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "group",
@@ -145,7 +139,7 @@ def dump_group(g: FiniteGroup) -> dict:
     }
 
 
-def load_group(doc: Any) -> FiniteGroup:
+def _load_group(doc: Any) -> FiniteGroup:
     doc = _require(doc, "group")
     table = doc.get("table")
     if (not isinstance(table, list)
@@ -165,19 +159,19 @@ def load_group(doc: Any) -> FiniteGroup:
         raise SchemaError(f"group: {exc}") from exc
 
 
-def dump_group_involution(a: GroupGammaAction) -> dict:
+def _dump_group_involution(a: GroupGammaAction) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "group-involution",
-        "group": dump_group(a.group),
+        "group": _dump_group(a.group),
         "bar": list(a.bar),
     }
 
 
-def load_group_involution(doc: Any) -> GroupGammaAction:
+def _load_group_involution(doc: Any) -> GroupGammaAction:
     doc = _require(doc, "group-involution")
     return GroupGammaAction(
-        group=load_group(doc.get("group")),
+        group=_load_group(doc.get("group")),
         bar=_int_list(doc, "bar", "group-involution"),
     )
 
@@ -186,20 +180,20 @@ def load_group_involution(doc: Any) -> GroupGammaAction:
 # involutions on groupoids
 
 
-def dump_gamma_action(a: GammaAction) -> dict:
+def _dump_gamma_action(a: GammaAction) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "gamma-action",
-        "groupoid": dump_groupoid(a.carrier),
+        "groupoid": _dump_groupoid(a.carrier),
         "bar_obj": list(a.bar_obj),
         "bar_mor": list(a.bar_mor),
     }
 
 
-def load_gamma_action(doc: Any) -> GammaAction:
+def _load_gamma_action(doc: Any) -> GammaAction:
     doc = _require(doc, "gamma-action")
     return GammaAction(
-        carrier=load_groupoid(doc.get("groupoid")),
+        carrier=_load_groupoid(doc.get("groupoid")),
         bar_obj=_int_list(doc, "bar_obj", "gamma-action"),
         bar_mor=_int_list(doc, "bar_mor", "gamma-action"),
     )
@@ -209,20 +203,20 @@ def load_gamma_action(doc: Any) -> GammaAction:
 # twisted module data
 
 
-def dump_twisted_data(d: InvolutiveGroupData) -> dict:
+def _dump_twisted_data(d: InvolutiveGroupData) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "twisted-data",
-        "group": dump_group(d.group),
+        "group": _dump_group(d.group),
         "theta": list(d.theta),
         "b_elements": list(d.b_elements),
     }
 
 
-def load_twisted_data(doc: Any) -> InvolutiveGroupData:
+def _load_twisted_data(doc: Any) -> InvolutiveGroupData:
     doc = _require(doc, "twisted-data")
     return InvolutiveGroupData(
-        group=load_group(doc.get("group")),
+        group=_load_group(doc.get("group")),
         theta=_int_list(doc, "theta", "twisted-data"),
         b_elements=_int_list(doc, "b_elements", "twisted-data"),
     )
@@ -232,7 +226,7 @@ def load_twisted_data(doc: Any) -> InvolutiveGroupData:
 # sites and presheaves
 
 
-def dump_site(s: FiniteSite) -> dict:
+def _dump_site(s: FiniteSite) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "site",
@@ -243,7 +237,7 @@ def dump_site(s: FiniteSite) -> dict:
     }
 
 
-def load_site(doc: Any) -> FiniteSite:
+def _load_site(doc: Any) -> FiniteSite:
     doc = _require(doc, "site")
     leq = doc.get("leq")
     if (not isinstance(leq, list)
@@ -274,13 +268,13 @@ def _load_map_tables(doc: Any, dom, cod, kind: str) -> GroupoidMap:
     )
 
 
-def dump_presheaf_action(p: PresheafGammaAction) -> dict:
+def _dump_presheaf_action(p: PresheafGammaAction) -> dict:
     site = p.presheaf.site
     return {
         "schema": SCHEMA_VERSION,
         "kind": "presheaf",
-        "site": dump_site(site),
-        "sections": [dump_gamma_action(a) for a in p.at],
+        "site": _dump_site(site),
+        "sections": [_dump_gamma_action(a) for a in p.at],
         "res": [
             [u, v, _dump_map_tables(p.presheaf.res[(u, v)])]
             for (u, v) in sorted(site.comparable_pairs())
@@ -288,13 +282,13 @@ def dump_presheaf_action(p: PresheafGammaAction) -> dict:
     }
 
 
-def load_presheaf_action(doc: Any) -> PresheafGammaAction:
+def _load_presheaf_action(doc: Any) -> PresheafGammaAction:
     doc = _require(doc, "presheaf")
-    site = load_site(doc.get("site"))
+    site = _load_site(doc.get("site"))
     sections = doc.get("sections")
     if not isinstance(sections, list):
         raise SchemaError("presheaf: sections must be a list")
-    at = tuple(load_gamma_action(s) for s in sections)
+    at = tuple(_load_gamma_action(s) for s in sections)
     res_doc = doc.get("res")
     if not isinstance(res_doc, list):
         raise SchemaError("presheaf: res must be a list")
@@ -315,52 +309,33 @@ def load_presheaf_action(doc: Any) -> PresheafGammaAction:
 # diagrams
 
 
-def _dump_category(c: FiniteCategory) -> dict:
-    return {
-        "n_objects": c.n_objects,
-        "src": list(c.src),
-        "tgt": list(c.tgt),
-        "id_of": list(c.id_of),
-        "comp": [[a, b, w] for (a, b), w in sorted(c.comp.items())],
-    }
-
-
-def _load_category(doc: Any) -> FiniteCategory:
+def _load_index(doc: Any) -> FiniteCategory:
     if not isinstance(doc, dict):
         raise SchemaError("diagram: index must be an object")
-    n = doc.get("n_objects")
-    if not isinstance(n, int) or n < 0:
-        raise SchemaError("diagram: index n_objects must be a nonnegative integer")
-    return FiniteCategory(
-        n_objects=n,
-        src=_int_list(doc, "src", "diagram"),
-        tgt=_int_list(doc, "tgt", "diagram"),
-        id_of=_int_list(doc, "id_of", "diagram"),
-        comp=_triples(doc, "comp", "diagram"),
-    )
+    return FiniteCategory(*_load_category_fields(doc, "diagram", where="index "))
 
 
-def dump_diagram(d: FilteredDiagram) -> dict:
+def _dump_diagram(d: FilteredDiagram) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "diagram",
-        "index": _dump_category(d.index),
-        "nodes": [dump_gamma_action(a) for a in d.nodes],
+        "index": _dump_category_fields(d.index),
+        "nodes": [_dump_gamma_action(a) for a in d.nodes],
         "arrows": [_dump_map_tables(e.map) for e in d.arrows],
     }
 
 
-def load_diagram(doc: Any) -> FilteredDiagram:
+def _load_diagram(doc: Any) -> FilteredDiagram:
     doc = _require(doc, "diagram")
-    index = _load_category(doc.get("index"))
+    index = _load_index(doc.get("index"))
     nodes_doc = doc.get("nodes")
     if not isinstance(nodes_doc, list) or len(nodes_doc) != index.n_objects:
         raise SchemaError("diagram: one node per index object expected")
-    nodes = tuple(load_gamma_action(n) for n in nodes_doc)
+    nodes = tuple(_load_gamma_action(n) for n in nodes_doc)
     arrows_doc = doc.get("arrows")
-    if not isinstance(arrows_doc, list) or len(arrows_doc) != index.n_arrows:
+    if not isinstance(arrows_doc, list) or len(arrows_doc) != index.n_morphisms:
         raise SchemaError("diagram: one arrow map per index arrow expected")
-    if len(index.tgt) < index.n_arrows:
+    if len(index.tgt) < index.n_morphisms:
         raise SchemaError("diagram: index tgt is shorter than src")
     arrows = []
     for u, row in enumerate(arrows_doc):
@@ -378,25 +353,25 @@ def load_diagram(doc: Any) -> FilteredDiagram:
 
 
 _DUMPERS = (
-    (PresheafGammaAction, dump_presheaf_action),
-    (FilteredDiagram, dump_diagram),
-    (InvolutiveGroupData, dump_twisted_data),
-    (GroupGammaAction, dump_group_involution),
-    (GammaAction, dump_gamma_action),
-    (FiniteSite, dump_site),
-    (FiniteGroup, dump_group),
-    (FiniteGroupoid, dump_groupoid),
+    (PresheafGammaAction, _dump_presheaf_action),
+    (FilteredDiagram, _dump_diagram),
+    (InvolutiveGroupData, _dump_twisted_data),
+    (GroupGammaAction, _dump_group_involution),
+    (GammaAction, _dump_gamma_action),
+    (FiniteSite, _dump_site),
+    (FiniteGroup, _dump_group),
+    (FiniteGroupoid, _dump_groupoid),
 )
 
 _LOADERS = {
-    "groupoid": load_groupoid,
-    "group": load_group,
-    "group-involution": load_group_involution,
-    "gamma-action": load_gamma_action,
-    "twisted-data": load_twisted_data,
-    "site": load_site,
-    "presheaf": load_presheaf_action,
-    "diagram": load_diagram,
+    "groupoid": _load_groupoid,
+    "group": _load_group,
+    "group-involution": _load_group_involution,
+    "gamma-action": _load_gamma_action,
+    "twisted-data": _load_twisted_data,
+    "site": _load_site,
+    "presheaf": _load_presheaf_action,
+    "diagram": _load_diagram,
 }
 
 

@@ -18,13 +18,13 @@ from typing import Sequence
 from .colimit import (
     ColimitComparison,
     FilteredDiagram,
-    FiniteCategory,
     _descend,
     _poset_category,
     colimit_groupoids,
     hfp_colimit_comparison,
 )
 from .core import (
+    FiniteCategory,
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,

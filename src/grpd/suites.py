@@ -1,8 +1,9 @@
 """Named check suites over the generated corpora.
 
 Each suite draws its instances from a seed-determined generator, so its
-report lines are reproducible byte for byte.  Elapsed time is recorded on
-the result but kept out of the lines for that reason.
+report lines are reproducible byte for byte.  A suite returns whether it
+passed and its lines; ``run_suite`` times it and records the elapsed time on
+the result, kept out of the lines for that reason.
 
 The frozen tables in this module were computed by direct enumeration over
 the concrete groups, independently of the package code; the unit tests
@@ -61,11 +62,6 @@ class SuiteResult:
     passed: bool
     lines: tuple[str, ...]
     elapsed: float
-
-
-def _done(name: str, passed: bool, lines, t0: float) -> SuiteResult:
-    return SuiteResult(name=name, passed=passed, lines=tuple(lines),
-                       elapsed=time.perf_counter() - t0)
 
 
 def _rng(seed: int, name: str) -> random.Random:
@@ -217,8 +213,7 @@ EXPECTED_TWISTED = (
 # suites
 
 
-def suite_iota_fibration(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_iota_fibration(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     n = _COUNTS[size]["iota"]
     rng = _rng(seed, "iota-fibration")
     failures = 0
@@ -227,11 +222,10 @@ def suite_iota_fibration(seed: int, size: str = "full") -> SuiteResult:
         if not is_fibration(hfp(a).iota()):
             failures += 1
     lines = [f"forgetful maps checked: {n}; fibration failures: {failures}"]
-    return _done("iota-fibration", failures == 0, lines, t0)
+    return failures == 0, lines
 
 
-def suite_hfp_preservation(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_hfp_preservation(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     n = _COUNTS[size]["preserve"]
     rng = _rng(seed, "hfp-preservation")
     bad = {"fib-input": 0, "fib-output": 0, "weq-input": 0, "weq-output": 0}
@@ -259,11 +253,10 @@ def suite_hfp_preservation(seed: int, size: str = "full") -> SuiteResult:
         "negative control stays negative: " + ("yes" if control_ok else "no"),
     ]
     passed = control_ok and not any(bad.values())
-    return _done("hfp-preservation", passed, lines, t0)
+    return passed, lines
 
 
-def suite_swap_cardinality(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_swap_cardinality(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     rng = _rng(seed, "swap-cardinality")
     gs = list(corpus.swap_corpus())
     gs.extend(corpus.random_groupoid(rng, 7) for _ in range(_COUNTS[size]["swap"]))
@@ -278,11 +271,10 @@ def suite_swap_cardinality(seed: int, size: str = "full") -> SuiteResult:
         f"groupoids checked: {len(gs)}; equivalence failures: {bad_verdict}; "
         f"cardinality mismatches: {bad_card}",
     ]
-    return _done("swap-cardinality", bad_verdict == 0 and bad_card == 0, lines, t0)
+    return bad_verdict == 0 and bad_card == 0, lines
 
 
-def suite_bg_decomposition(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_bg_decomposition(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     fixtures = corpus.gamma_group_fixtures()
     mismatches = []
     not_weq = 0
@@ -302,11 +294,10 @@ def suite_bg_decomposition(seed: int, size: str = "full") -> SuiteResult:
         f"fixtures checked: {len(fixtures)}; value mismatches: {len(mismatches)}; "
         f"decomposition equivalence failures: {not_weq}",
     ] + mismatches
-    return _done("bg-decomposition", not mismatches and not_weq == 0, lines, t0)
+    return not mismatches and not_weq == 0, lines
 
 
-def suite_parameter_fibration(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_parameter_fibration(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     fixtures = corpus.involutive_fixtures()
     mismatches = []
     not_acyclic = 0
@@ -330,11 +321,10 @@ def suite_parameter_fibration(seed: int, size: str = "full") -> SuiteResult:
         f"fixtures checked: {len(fixtures)}; value mismatches: {len(mismatches)}; "
         f"acyclic fibration failures: {not_acyclic}",
     ] + mismatches
-    return _done("parameter-fibration", not mismatches and not_acyclic == 0, lines, t0)
+    return not mismatches and not_acyclic == 0, lines
 
 
-def suite_colimit_commutation(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_colimit_commutation(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     n = _COUNTS[size]["colimit"]
     rng = _rng(seed, "colimit-commutation")
     bad_shape = bad_verdict = 0
@@ -360,11 +350,10 @@ def suite_colimit_commutation(seed: int, size: str = "full") -> SuiteResult:
         + ("yes" if control_ok and not control_verdict else "no"),
     ]
     passed = bad_shape == 0 and bad_verdict == 0 and control_ok and not control_verdict
-    return _done("colimit-commutation", passed, lines, t0)
+    return passed, lines
 
 
-def suite_stalk_commutation(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_stalk_commutation(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     rng = _rng(seed, "stalk-commutation")
     n = _COUNTS[size]["presheaf"]
     bad_shape = bad_verdict = bad_germ = 0
@@ -407,11 +396,10 @@ def suite_stalk_commutation(seed: int, size: str = "full") -> SuiteResult:
     ]
     passed = (bad_shape == bad_verdict == bad_germ == broken == 0
               and sw_weq > 0 and sw_fib > 0 and fixtures_ok)
-    return _done("stalk-commutation", passed, lines, t0)
+    return passed, lines
 
 
-def suite_oracle_agreement(seed: int, size: str = "full") -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_oracle_agreement(seed: int, size: str = "full") -> tuple[bool, list[str]]:
     cap = _COUNTS[size]["cap"]
     catalog = corpus.small_groupoid_catalog()
     checked = fib_dis = weq_dis = 0
@@ -428,7 +416,7 @@ def suite_oracle_agreement(seed: int, size: str = "full") -> SuiteResult:
         f"equivalence disagreements: {weq_dis}",
     ]
     passed = checked >= 500 and fib_dis == 0 and weq_dis == 0
-    return _done("oracle-agreement", passed, lines, t0)
+    return passed, lines
 
 
 _SUITES = {
@@ -449,7 +437,10 @@ def run_suite(name: str, seed: int = 0, size: str = "full") -> SuiteResult:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     if size not in _COUNTS:
         raise KeyError(f"unknown size {size!r}; known: full, small")
-    return _SUITES[name](seed, size)
+    t0 = time.perf_counter()
+    passed, lines = _SUITES[name](seed, size)
+    return SuiteResult(name=name, passed=passed, lines=tuple(lines),
+                       elapsed=time.perf_counter() - t0)
 
 
 def run_all(seed: int = 0, size: str = "full") -> list[SuiteResult]:

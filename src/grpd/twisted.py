@@ -20,7 +20,6 @@ of its action groupoid and their stabilizers are its vertex groups, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .core import (
     FiniteGroupoid,

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from grpd.cli import run
-from grpd.colimit import FilteredDiagram, FiniteCategory, colimit_groupoids, filtered_witness
+from grpd.colimit import FilteredDiagram, colimit_groupoids, filtered_witness
 from grpd.corpus import (
     S3_TRANSPOSITION,
     constant_presheaf_action,
@@ -23,10 +23,10 @@ from grpd.corpus import (
     skyscraper_presheaf_action,
 )
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
-from grpd.core import FiniteGroupoid, GroupoidMap, build_bg, identity_map, validate_groupoid
+from grpd.core import FiniteCategory, FiniteGroupoid, GroupoidMap, build_bg, identity_map, validate_groupoid
 from grpd.gamma import EquivariantMap, trivial_action
 from grpd.groups import conjugation_automorphism, cyclic_group
-from grpd.jsonio import dumps, load_groupoid
+from grpd.jsonio import dumps, loads
 from grpd.twisted import InvolutiveGroupData, xy_isomorphism, z1_theta
 from grpd.presheaf import GroupoidPresheaf, PresheafGammaAction, sierpinski_site
 
@@ -168,7 +168,7 @@ def test_hfp_text_and_json(tmp_path):
 
     code, out = invoke(["hfp", f, "--json"])
     assert code == 0
-    g = load_groupoid(json.loads(out))
+    g = loads(out)
     assert g.n_objects == 6 and g.n_morphisms == 36
 
 

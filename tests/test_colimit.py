@@ -4,7 +4,6 @@ import pytest
 
 from grpd.colimit import (
     FilteredDiagram,
-    FiniteCategory,
     GroupoidColimit,
     NotFilteredError,
     _descend,
@@ -12,10 +11,10 @@ from grpd.colimit import (
     colimit_groupoids,
     filtered_witness,
     hfp_colimit_comparison,
-    validate_category,
     validate_diagram,
 )
 from grpd.core import (
+    FiniteCategory,
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
@@ -23,6 +22,7 @@ from grpd.core import (
     discrete_groupoid,
     identity_map,
     union_offsets,
+    validate_category,
     validate_functor,
 )
 from grpd.corpus import nonfiltered_control_diagram, random_filtered_diagram, random_presheaf_action
@@ -70,7 +70,7 @@ def test_validate_category_reports_every_non_associative_triple():
     c = FiniteCategory(n_objects=2, src=(0, 0, 0, 0, 1), tgt=(0, 0, 0, 1, 1),
                        id_of=(0, 4), comp=comp)
     naive = [f"associativity: ({a},{b},{d})"
-             for a in c.arrows() for b in c.arrows() for d in c.arrows()
+             for a in c.morphisms() for b in c.morphisms() for d in c.morphisms()
              if c.tgt[a] == c.src[b] and c.tgt[b] == c.src[d]
              and comp[comp[a, b], d] != comp[a, comp[b, d]]]
     assert validate_category(c) == naive == ["associativity: (2,1,2)",
@@ -100,7 +100,7 @@ def test_colimit_of_an_inclusion_chain():
     res = colimit(d)
     assert res.groupoid.n_objects == 2
     # cocone legs commute with the diagram arrows
-    for u in d.index.arrows():
+    for u in d.index.morphisms():
         i, j = d.index.src[u], d.index.tgt[u]
         composed = d.arrows[u].map.then(res.cocones[j].map)
         assert composed.obj_map == res.cocones[i].map.obj_map
@@ -245,7 +245,7 @@ def reference_colimit_groupoids(index, gpds, maps):
     obj_off, mor_off = union_offsets(gpds)
     uf_obj = DictUnionFind(range(sum(g.n_objects for g in gpds)))
     uf_mor = DictUnionFind(range(sum(g.n_morphisms for g in gpds)))
-    for u in index.arrows():
+    for u in index.morphisms():
         i, j = index.src[u], index.tgt[u]
         f = maps[u]
         for x in gpds[i].objects():

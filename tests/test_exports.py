@@ -30,3 +30,16 @@ def test_the_package_imports_only_exported_names():
         module = importlib.import_module(f"grpd.{node.module}")
         unexported = [a.name for a in node.names if a.name not in module.__all__]
         assert unexported == [], module.__name__
+
+
+def test_no_function_imports_a_module_its_file_imports_at_the_top():
+    for path in Path(grpd.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        top = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+        local = [(node.lineno, node.module) for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module in top]
+        assert local == [], path.name

@@ -17,8 +17,6 @@ from grpd.jsonio import (
     SchemaError,
     dumps,
     load_document,
-    load_group,
-    load_groupoid,
     loads,
     to_dot,
 )
@@ -89,9 +87,9 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         load_document({"schema": 1, "kind": "wombat"})
     with pytest.raises(SchemaError):
-        load_groupoid({"schema": 1, "kind": "groupoid", "n_objects": -1})
+        load_document({"schema": 1, "kind": "groupoid", "n_objects": -1})
     with pytest.raises(SchemaError):
-        load_group({"schema": 1, "kind": "group", "table": [[0, 0], [0, 0]]})
+        load_document({"schema": 1, "kind": "group", "table": [[0, 0], [0, 0]]})
 
 
 def test_wrong_kind_is_rejected():

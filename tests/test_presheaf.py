@@ -110,7 +110,8 @@ def test_validate_site_catches_opens_with_equal_points():
 
 
 def test_point_filter_category_is_filtered():
-    from grpd.colimit import filtered_witness, validate_category
+    from grpd.colimit import filtered_witness
+    from grpd.core import validate_category
 
     s = sierpinski_site()
     for t in s.points():

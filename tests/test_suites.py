@@ -5,7 +5,7 @@ import pytest
 import grpd.suites
 from grpd.core import GroupoidMap, validate_functor
 from grpd.corpus import small_groupoid_catalog
-from grpd.suites import enumerate_functors, suite_oracle_agreement
+from grpd.suites import enumerate_functors, run_suite
 
 
 def reference_enumerate_functors(a, b, cap=50000):
@@ -54,7 +54,7 @@ def test_oracle_validates_only_the_functors_it_yields(monkeypatch):
         return validate_functor(f)
 
     monkeypatch.setattr(grpd.suites, "validate_functor", counting)
-    result = suite_oracle_agreement(0, "full")
+    result = run_suite("oracle-agreement", 0, "full")
     assert result.passed
     assert result.lines[0].startswith("functors enumerated: 792;")
     assert len(calls) == 792
