@@ -20,11 +20,10 @@ from .cohomology import GroupGammaAction, h1, validate_group_gamma_action
 from .colimit import (FilteredDiagram, NotFilteredError, filtered_witness,
                       hfp_colimit_comparison, validate_diagram)
 from .core import (FiniteGroupoid, InvariantViolation, _label_report,
-                   components, groupoid_cardinality, is_fibration,
-                   validate_category, validate_groupoid)
+                   components, groupoid_cardinality, is_fibration, validate_groupoid)
 from .gamma import GammaAction, hfp, validate_gamma_action
 from .groups import FiniteGroup, validate_group
-from .jsonio import SchemaError, dump_document, load_document, to_dot
+from .jsonio import SchemaError, _json_text, dump_document, load_document, to_dot
 from .presheaf import (FiniteSite, PresheafGammaAction,
                        stalk_commutation_check,
                        validate_presheaf_gamma_action, validate_site)
@@ -51,10 +50,6 @@ def _emit(args, out, text: str) -> None:
         Path(args.out).write_text(text)
     else:
         out.write(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _render(args, out, doc: dict) -> None:
@@ -103,7 +98,7 @@ def _validation_report(obj) -> list:
         return (validate_site(obj.presheaf.site)
                 or validate_presheaf_gamma_action(obj))
     if isinstance(obj, FilteredDiagram):
-        return validate_category(obj.index) or validate_diagram(obj)
+        return validate_diagram(obj)
     raise SchemaError(f"no validator for {type(obj).__name__}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import (FiniteCategory, FiniteGroupoid, GroupoidMap, InvariantViolation,
-                   identity_map, union_offsets, validate_functor)
+                   identity_map, union_offsets, validate_category, validate_functor)
 from .gamma import (EquivariantMap, GammaAction, HomotopyFixedPoints, equivariance_witness,
                     hfp, hfp_map, validate_gamma_action)
 from .util import UnionFind
@@ -82,11 +82,11 @@ def filtered_witness(c: FiniteCategory) -> Optional[str]:
         for j in c.objects():
             if reach[i].isdisjoint(reach[j]):
                 return f"objects {i} and {j} admit no cocone"
-    compose = c.compose
+    comp = c.comp
     for u in c.morphisms():
         after = out_of[c.tgt[u]]
         for v in c.hom(c.src[u], c.tgt[u]):
-            if v > u and not any(compose(u, w) == compose(v, w) for w in after):
+            if v > u and not any(comp[u, w] == comp[v, w] for w in after):
                 return f"parallel arrows {u} and {v} are never equalized"
     return None
 
@@ -101,7 +101,11 @@ class FilteredDiagram:
 
 
 def validate_diagram(d: FilteredDiagram) -> list[str]:
-    report = []
+    """The index's category axioms (a bad index ends the report), then the
+    nodes, the arrows and functoriality; empty means valid."""
+    report = validate_category(d.index)
+    if report:
+        return report
     c = d.index
     if len(d.nodes) != c.n_objects or len(d.arrows) != c.n_morphisms:
         report.append("shape: one node per index object and one map per arrow expected")

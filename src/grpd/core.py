@@ -4,9 +4,10 @@ and inverse maps.
 Objects and morphisms are dense integer ids.  Composition is diagrammatic:
 ``compose(m1, m2)`` is "m1 then m2" and is defined exactly when
 ``tgt[m1] == src[m2]``.  It is given either as a table (documents, index
-categories and hand-written fixtures) or as a rule computed from the
+categories and hand-written fixtures) or as a row rule computed from the
 structure (the action groupoids, products and disjoint unions built here,
-and the fixed points of ``grpd.gamma``); ``comp``, the full table, is built
+and the fixed points of ``grpd.gamma``), which composes one arrow with a
+whole row of arrows out of its target; ``comp``, the full table, is built
 from a rule on first access.  Everything is finite and explicit; validation
 returns reports rather than trusting constructors.
 
@@ -81,17 +82,22 @@ class FiniteCategory:
     """A finite category: objects 0..n_objects-1, morphisms 0..n_morphisms-1.
 
     ``id_of[x]`` is the identity at x.  The ``comp`` argument is either a
-    table, a dict from composable pairs to composites, or a rule, a callable
-    ``rule(m1, m2)`` that raises ``KeyError`` on a pair that is not
-    composable, just as a table lookup does.  ``compose(m1, m2)`` reads
-    either; ``compositions()`` walks every composable pair of either without
-    building anything; the ``comp`` property is the full table, built from
-    that walk on first access and read by ``compose`` from then on, since a
-    lookup is faster than a nested rule.  ``hom`` and ``out_of``, the
-    morphisms out of each object, are indexed once per instance.
+    table, a dict from composable pairs to composites, or a row rule, a
+    callable ``rule(m1, ms)`` that returns the list of composites of m1 with
+    each arrow of ``ms``.  ``compose_each`` holds the rule, or a table lookup
+    that raises ``KeyError`` on a missing pair.  A row rule may skip the
+    endpoint check, so ``ms`` must be arrows out of ``tgt[m1]``: a row of
+    ``out_of`` or ``hom``, or arrows checked to leave it.  ``compose(m1, m2)``
+    checks the endpoints, raises ``KeyError`` on a pair that is not
+    composable and reads a one-element row.  ``compositions()`` walks every
+    composable pair a row at a time without building anything; the ``comp``
+    property is the full table, built from that walk on first access and
+    read by ``compose_each`` from then on, since a lookup is faster than a
+    nested rule.  ``hom`` and ``out_of``, the morphisms out of each object,
+    are indexed once per instance.
     """
 
-    __slots__ = ("n_objects", "src", "tgt", "id_of", "compose", "_comp", "_hom", "_out_of")
+    __slots__ = ("n_objects", "src", "tgt", "id_of", "compose_each", "_comp", "_hom", "_out_of")
 
     def __init__(self, n_objects, src, tgt, id_of, comp):
         self.n_objects = int(n_objects)
@@ -100,7 +106,7 @@ class FiniteCategory:
         self.id_of = tuple(id_of)
         if callable(comp):
             self._comp = None
-            self.compose = comp
+            self.compose_each = comp
         else:
             self._use_table(dict(comp))
         self._hom = None
@@ -108,7 +114,12 @@ class FiniteCategory:
 
     def _use_table(self, table: dict) -> None:
         self._comp = table
-        self.compose = lambda m1, m2: table[(m1, m2)]
+        self.compose_each = lambda m1, ms: [table[m1, m2] for m2 in ms]
+
+    def compose(self, m1: int, m2: int) -> int:
+        if self.tgt[m1] != self.src[m2]:
+            raise KeyError((m1, m2))
+        return self.compose_each(m1, (m2,))[0]
 
     @property
     def comp(self) -> dict:
@@ -118,14 +129,14 @@ class FiniteCategory:
 
     def compositions(self):
         """Every composable pair with its composite, as ``((m1, m2), m3)``: the
-        table's entries if there is one, else the rule walked along the
-        arrows out of each object, storing nothing."""
+        table's entries if there is one, else the rule walked a row at a time
+        along the arrows out of each object, storing nothing."""
         if self._comp is not None:
             return iter(self._comp.items())
         out_of = self.out_of
-        compose = self.compose
+        each = self.compose_each
         return chain.from_iterable(
-            zip(zip(repeat(m1), out_of[y]), map(compose, repeat(m1), out_of[y]))
+            zip(zip(repeat(m1), out_of[y]), each(m1, out_of[y]))
             for m1, y in enumerate(self.tgt))
 
     @property
@@ -362,7 +373,8 @@ def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
     """The action groupoid: objects are points, morphisms are pairs (g, x).
 
     The morphism (g, x) runs from x to g.x and is encoded as g * n_points + x.
-    Composition is the rule (g, x) then (h, g.x) is (hg, x).
+    Composition is the rule (g, x) then (h, g.x) is (hg, x): a row of
+    composites with (g, x) reads column g of the group table.
     """
     grp = a.group
     nx = a.n_points
@@ -378,15 +390,15 @@ def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
         action_mor(a, grp.inv(g), a.act(g, x))
         for g in grp.elements() for x in range(nx)
     )
-    mul = grp.table
+    # column[g][h] is the id of (hg, 0)
+    column = [tuple(row[g] * nx for row in grp.table) for g in grp.elements()]
 
-    def compose(m1, m2):
-        if tgt[m1] != src[m2]:
-            raise KeyError((m1, m2))
-        return mul[elem[m2]][elem[m1]] * nx + src[m1]
+    def compose_each(m1, ms):
+        col, x = column[elem[m1]], src[m1]
+        return [col[elem[m2]] + x for m2 in ms]
 
     return FiniteGroupoid(
-        nx, src, tgt, id_of, inv, compose,
+        nx, src, tgt, id_of, inv, compose_each,
         obj_labels=tuple(a.point_label(x) for x in range(nx)),
         mor_labels=mor_labels,
     )
@@ -526,7 +538,8 @@ def union_offsets(gs: Sequence[FiniteGroupoid]) -> tuple[tuple[int, ...], tuple[
 
 
 def disjoint_union(gs: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
-    """Summands side by side; composition is the summands' own, shifted."""
+    """Summands side by side; composition is the summands' own, shifted: a
+    row is the summand's row."""
     obj_off, mor_off = union_offsets(gs)
     src, tgt, id_of, inv, summand = [], [], [], [], []
     obj_labels, mor_labels = [], []
@@ -539,16 +552,14 @@ def disjoint_union(gs: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
         summand.extend([i] * g.n_morphisms)
         obj_labels.extend(g.obj_label(x) for x in g.objects())
         mor_labels.extend(g.mor_label(k) for k in g.morphisms())
-    composers = [g.compose for g in gs]
+    rows = [g.compose_each for g in gs]
 
-    def compose(m1, m2):
+    def compose_each(m1, ms):
         i = summand[m1]
-        if summand[m2] != i:
-            raise KeyError((m1, m2))
         mo = mor_off[i]
-        return mo + composers[i](m1 - mo, m2 - mo)
+        return [mo + k for k in rows[i](m1 - mo, [m2 - mo for m2 in ms])]
 
-    return FiniteGroupoid(sum(g.n_objects for g in gs), src, tgt, id_of, inv, compose,
+    return FiniteGroupoid(sum(g.n_objects for g in gs), src, tgt, id_of, inv, compose_each,
                           obj_labels=obj_labels, mor_labels=mor_labels)
 
 
@@ -567,7 +578,8 @@ def disjoint_union_map(fs: Sequence[GroupoidMap]) -> GroupoidMap:
 
 def product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     """Product groupoid; object (x, y) is x * h.n_objects + y and morphism
-    (m, k) is m * h.n_morphisms + k.  Composition is coordinatewise."""
+    (m, k) is m * h.n_morphisms + k.  Composition is coordinatewise: a row
+    zips the two factors' rows."""
     no, nm = h.n_objects, h.n_morphisms
 
     def obj(x, y):
@@ -580,18 +592,18 @@ def product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     tgt = [obj(g.tgt[m], h.tgt[k]) for m in g.morphisms() for k in h.morphisms()]
     id_of = [mor(g.id_of[x], h.id_of[y]) for x in g.objects() for y in h.objects()]
     inv = [mor(g.inv[m], h.inv[k]) for m in g.morphisms() for k in h.morphisms()]
-    g_compose, h_compose = g.compose, h.compose
+    g_each, h_each = g.compose_each, h.compose_each
 
-    def compose(m1, m2):
+    def compose_each(m1, ms):
         a1, b1 = divmod(m1, nm)
-        a2, b2 = divmod(m2, nm)
-        return g_compose(a1, a2) * nm + h_compose(b1, b2)
+        return [a * nm + b for a, b in zip(g_each(a1, [m2 // nm for m2 in ms]),
+                                           h_each(b1, [m2 % nm for m2 in ms]))]
 
     obj_labels = [f"({g.obj_label(x)},{h.obj_label(y)})"
                   for x in g.objects() for y in h.objects()]
     mor_labels = [f"({g.mor_label(m)},{h.mor_label(k)})"
                   for m in g.morphisms() for k in h.morphisms()]
-    return FiniteGroupoid(g.n_objects * no, src, tgt, id_of, inv, compose,
+    return FiniteGroupoid(g.n_objects * no, src, tgt, id_of, inv, compose_each,
                           obj_labels=obj_labels, mor_labels=mor_labels)
 
 
@@ -629,10 +641,8 @@ def automorphism_group(g: FiniteGroupoid, x: int) -> tuple[FiniteGroup, tuple[in
     """
     mors = g.aut(x)
     index = {k: i for i, k in enumerate(mors)}
-    table = tuple(
-        tuple(index[g.compose(mors[b], mors[a])] for b in range(len(mors)))
-        for a in range(len(mors))
-    )
+    rows = [g.compose_each(k, mors) for k in mors]  # rows[b][a]: mors[b] then mors[a]
+    table = tuple(tuple(index[row[a]] for row in rows) for a in range(len(mors)))
     grp = FiniteGroup(
         table=table,
         identity=index[g.id_of[x]],

@@ -13,7 +13,6 @@ module.  That is the only place the two conventions need translating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 from .core import (
@@ -161,16 +160,21 @@ class HomotopyFixedPoints:
 def hfp(a: GammaAction) -> HomotopyFixedPoints:
     """Compute the homotopy fixed point groupoid of an involution.
 
-    Composition is a rule induced from the carrier's: the arrow out of (x, phi)
-    over alpha, then the arrow over beta, is the arrow out of (x, phi) over
-    alpha then beta.  Every composable pair is checked to have that arrow, and
-    a carrier that lacks it, or lacks a composite, an identity or an inverse
-    arrow, raises ``InvariantViolation``.  So does a bar table of the wrong
-    length or with an entry out of range; whether bar is a functor is left to
-    ``validate_gamma_action``.
+    The arrows out of (x, phi) are read off rows of the carrier: phi then
+    bar(alpha) for every alpha out of x, and, once per alpha, alpha then
+    each phi1 over its target.  Composition is a row rule induced from the
+    carrier's: the arrow out of (x, phi) over alpha, then the arrows over a
+    row of betas, are the arrows out of (x, phi) over the carrier's row of
+    alpha then the betas.  Every composable pair is checked to have that
+    arrow, a row at a time, and a carrier that lacks it, or lacks a
+    composite, an identity or an inverse arrow, raises
+    ``InvariantViolation``.  So does a bar table of the wrong length or with
+    an entry out of range.  Whether bar is a functor is left to
+    ``validate_gamma_action``, so each bar(alpha) is checked to leave the
+    target of phi before its row is read.
     """
     g = a.carrier
-    compose, bar_mor = g.compose, a.bar_mor
+    each, bar_mor = g.compose_each, a.bar_mor
     for name, table, size in (("bar_obj", a.bar_obj, g.n_objects),
                               ("bar_mor", bar_mor, g.n_morphisms)):
         if len(table) != size:
@@ -184,44 +188,58 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
                 objs.append(HfpObject(x, phi))
     obj_index = {(o.base, o.phi): i for i, o in enumerate(objs)}
 
-    fixed_over = {}  # base -> [(j, phi)] in object order, bases increasing
+    fixed_over = {}  # base -> ([j], [phi]) in object order
     for j, o in enumerate(objs):
-        fixed_over.setdefault(o.base, []).append((j, o.phi))
+        js, phis = fixed_over.setdefault(o.base, ([], []))
+        js.append(j)
+        phis.append(o.phi)
+    # between[x]: the arrows from x to a base, by target and then id
+    between = {x: [alpha for alpha in sorted(g.out_of[x], key=g.tgt.__getitem__)
+                   if g.tgt[alpha] in fixed_over] for x in fixed_over}
     src, tgt, underlying = [], [], []
     lifts = [{} for _ in objs]
     try:
+        # after[alpha]: alpha then each phi1 over its target
+        after = {alpha: each(alpha, fixed_over[g.tgt[alpha]][1])
+                 for alphas in between.values() for alpha in alphas}
         for i, o in enumerate(objs):
-            for base, fixed in fixed_over.items():
-                alphas = g.hom(o.base, base)
-                twisted = [compose(o.phi, bar_mor[alpha]) for alpha in alphas]
-                for j, phi1 in fixed:
-                    for alpha, rhs in zip(alphas, twisted):
-                        if compose(alpha, phi1) != rhs:
-                            continue
-                        if alpha in lifts[i]:
-                            raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
-                                                     "reaches two fixed points: the carrier "
-                                                     "is not a groupoid")
-                        lifts[i][alpha] = len(src)
-                        src.append(i)
-                        tgt.append(j)
-                        underlying.append(alpha)
+            alphas = between[o.base]
+            bars = [bar_mor[alpha] for alpha in alphas]
+            y = g.tgt[o.phi]
+            for beta in bars:
+                if g.src[beta] != y:
+                    raise KeyError((o.phi, beta))
+            twisted = each(o.phi, bars)
+            found = []
+            for alpha, rhs in zip(alphas, twisted):
+                for j, composite in zip(fixed_over[g.tgt[alpha]][0], after[alpha]):
+                    if composite == rhs:
+                        found.append((j, alpha))
+            found.sort()  # arrows are numbered by source, target, underlying
+            for j, alpha in found:
+                if alpha in lifts[i]:
+                    raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
+                                             "reaches two fixed points: the carrier "
+                                             "is not a groupoid")
+                lifts[i][alpha] = len(src)
+                src.append(i)
+                tgt.append(j)
+                underlying.append(alpha)
         id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
         inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
         # closure: alpha then beta lifts out of src for every composable pair
         lift_sets = [set(out) for out in lifts]
         for i, j, alpha in zip(src, tgt, underlying):
-            if not lift_sets[i].issuperset(map(compose, repeat(alpha), lifts[j])):
-                raise KeyError(next(compose(alpha, beta) for beta in lifts[j]
-                                    if compose(alpha, beta) not in lifts[i]))
+            row = each(alpha, lifts[j])
+            if not lift_sets[i].issuperset(row):
+                raise KeyError(next(k for k in row if k not in lift_sets[i]))
     except KeyError as exc:
         raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
                                  "the carrier is not a groupoid") from exc
 
-    def compose_fp(m1, m2):
-        if tgt[m1] != src[m2]:
-            raise KeyError((m1, m2))
-        return lifts[src[m1]][compose(underlying[m1], underlying[m2])]
+    def compose_fp(m1, ms):
+        return list(map(lifts[src[m1]].__getitem__,
+                        each(underlying[m1], [underlying[m2] for m2 in ms])))
 
     groupoid = FiniteGroupoid(
         len(objs), src, tgt, id_of, inv, compose_fp,

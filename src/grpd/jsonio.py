@@ -391,8 +391,13 @@ def load_document(doc: Any):
     return _LOADERS[kind](doc)
 
 
+def _json_text(doc) -> str:
+    """The one JSON text format of documents and ``--json`` results."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(dump_document(obj), indent=2, sort_keys=True) + "\n"
+    return _json_text(dump_document(obj))
 
 
 def loads(text: str):

@@ -177,6 +177,18 @@ def test_validate_diagram_catches_non_functorial_assignment():
     assert validate_diagram(bad) != []
 
 
+def test_validate_diagram_checks_its_index_first():
+    # an index missing the composite (8, 8) passed validate_diagram unreported
+    d = random_filtered_diagram(random.Random(3))
+    c = d.index
+    table = dict(c.comp)
+    del table[(8, 8)]
+    broken = FilteredDiagram(FiniteCategory(c.n_objects, c.src, c.tgt, c.id_of, table),
+                             d.nodes, d.arrows)
+    assert validate_diagram(broken) == validate_category(broken.index)
+    assert "composition-domain: missing entry for (8,8)" in validate_diagram(broken)
+
+
 def test_colimit_groupoids_over_a_point():
     g = discrete_groupoid(3)
     cat = FiniteCategory(n_objects=1, src=(0,), tgt=(0,), id_of=(0,),

@@ -318,22 +318,33 @@ def test_hfp_rule_matches_the_old_table():
 
 def test_hfp_of_eg_s5_builds_no_table_and_stays_small():
     # a guard on the size ceiling: neither EG(S5) nor its fixed points may
-    # tabulate their 1.7 million composable pairs
+    # tabulate their 1.7 million composable pairs; nor may the other large
+    # rungs of the size ladder, the swap on EG(D4) and BG(S5) decomposed, so
+    # that none of them is made faster by tabulating
     script = (
         "import resource\n"
-        "from grpd.core import is_fibration\n"
+        "from grpd.cohomology import GroupGammaAction, bg_hfp_decomposition\n"
+        "from grpd.core import build_eg, is_fibration\n"
         "from grpd.corpus import eg_gamma_action\n"
-        "from grpd.gamma import hfp\n"
-        "from grpd.groups import conjugation_automorphism, symmetric_group\n"
+        "from grpd.gamma import hfp, swap_comparison\n"
+        "from grpd.groups import conjugation_automorphism, dihedral_group, symmetric_group\n"
         "g = symmetric_group(5)\n"
         "a = eg_gamma_action(g, conjugation_automorphism(g, 1))\n"
         "fp = hfp(a)\n"
         "print(fp.groupoid.n_morphisms, is_fibration(fp.iota()),\n"
         "      a.carrier._comp is None, fp.groupoid._comp is None,\n"
         "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+        "swap = swap_comparison(build_eg(dihedral_group(4)))\n"
+        "dec = bg_hfp_decomposition(GroupGammaAction(g, conjugation_automorphism(g, 1)))\n"
+        "print(swap.is_weak_equivalence, dec.is_weak_equivalence,\n"
+        "      *(h._comp is None for h in (swap.map.dom, swap.fixed_points.action.carrier,\n"
+        "                                  swap.fixed_points.groupoid, dec.source,\n"
+        "                                  dec.fixed_points.action.carrier,\n"
+        "                                  dec.fixed_points.groupoid)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(grpd.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out[:4] == ["14400", "True", "True", "True"]
     assert int(out[4]) < 150, f"peak RSS {out[4]} MB"
+    assert out[5:] == ["True"] * 8

@@ -1,0 +1,375 @@
+"""Row composition against the pair rules it replaced.
+
+A rule-backed structure composes one arrow with a whole row of arrows out of
+its target, ``compose_each(m1, ms)``.  The references below are copies of
+the pair rules the structures used before: the action groupoid's, the
+product's, the disjoint union's and the fixed points', plus a table lookup,
+and ``pair_hfp``, the fixed point construction that called a pair rule once
+per pair.  Every structure these tests build carries its reference pair rule
+beside it, so nested structures nest their references.
+"""
+
+import random
+from dataclasses import replace
+from itertools import repeat
+
+import pytest
+
+from grpd.cohomology import bg_gamma_action
+from grpd.core import (
+    FiniteGroupoid,
+    InvariantViolation,
+    build_action_groupoid,
+    discrete_groupoid,
+    disjoint_union,
+    product,
+    relabel,
+    terminal_groupoid,
+    union_offsets,
+)
+from grpd.corpus import (
+    corrupted_bg_z2,
+    eg_gamma_action,
+    gamma_group_fixtures,
+    group_catalog,
+    involutive_fixtures,
+    random_filtered_diagram,
+    small_groupoid_catalog,
+)
+from grpd.gamma import GammaAction, HfpObject, gamma_product, hfp, swap_action, trivial_action
+from grpd.groups import (
+    GroupAction,
+    conjugation_automorphism,
+    cyclic_group,
+    left_multiplication_action,
+    symmetric_group,
+    trivial_point_action,
+)
+from test_gamma import raises_key_error, small_actions as corpus_small_actions
+
+
+# ---------------------------------------------------------------------------
+# the pair rules
+
+
+def action_pair(a, g):
+    nx, mul = a.n_points, a.group.table
+    src, tgt = g.src, g.tgt
+    elem = [m // nx for m in g.morphisms()]
+
+    def compose(m1, m2):
+        if tgt[m1] != src[m2]:
+            raise KeyError((m1, m2))
+        return mul[elem[m2]][elem[m1]] * nx + src[m1]
+
+    return compose
+
+
+def product_pair(g_compose, h_compose, nm):
+    def compose(m1, m2):
+        a1, b1 = divmod(m1, nm)
+        a2, b2 = divmod(m2, nm)
+        return g_compose(a1, a2) * nm + h_compose(b1, b2)
+
+    return compose
+
+
+def union_pair(gs, composers):
+    _, mor_off = union_offsets(gs)
+    summand = [i for i, g in enumerate(gs) for _ in g.morphisms()]
+
+    def compose(m1, m2):
+        i = summand[m1]
+        if summand[m2] != i:
+            raise KeyError((m1, m2))
+        mo = mor_off[i]
+        return mo + composers[i](m1 - mo, m2 - mo)
+
+    return compose
+
+
+def hfp_pair(fp, carrier_compose):
+    src, tgt = fp.groupoid.src, fp.groupoid.tgt
+    underlying, lifts = fp.underlying, fp._lifts
+
+    def compose_fp(m1, m2):
+        if tgt[m1] != src[m2]:
+            raise KeyError((m1, m2))
+        return lifts[src[m1]][carrier_compose(underlying[m1], underlying[m2])]
+
+    return compose_fp
+
+
+def table_pair(table):
+    return lambda m1, m2: table[(m1, m2)]
+
+
+def pair_hfp(a, compose):
+    """``hfp`` with one call of ``compose`` per pair: the objects, the arrows
+    as (src, tgt, underlying), id_of and inv, or the ``InvariantViolation``."""
+    g, bar_mor = a.carrier, a.bar_mor
+    objs = [HfpObject(x, phi) for x in g.objects() for phi in g.hom(x, a.bar_obj[x])
+            if bar_mor[phi] == g.inv[phi]]
+    fixed_over = {}
+    for j, o in enumerate(objs):
+        fixed_over.setdefault(o.base, []).append((j, o.phi))
+    src, tgt, underlying = [], [], []
+    lifts = [{} for _ in objs]
+    try:
+        for i, o in enumerate(objs):
+            for base, fixed in fixed_over.items():
+                alphas = g.hom(o.base, base)
+                twisted = [compose(o.phi, bar_mor[alpha]) for alpha in alphas]
+                for j, phi1 in fixed:
+                    for alpha, rhs in zip(alphas, twisted):
+                        if compose(alpha, phi1) != rhs:
+                            continue
+                        if alpha in lifts[i]:
+                            raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
+                                                     "reaches two fixed points: the carrier "
+                                                     "is not a groupoid")
+                        lifts[i][alpha] = len(src)
+                        src.append(i)
+                        tgt.append(j)
+                        underlying.append(alpha)
+        id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
+        inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
+        lift_sets = [set(out) for out in lifts]
+        for i, j, alpha in zip(src, tgt, underlying):
+            if not lift_sets[i].issuperset(map(compose, repeat(alpha), lifts[j])):
+                raise KeyError(next(compose(alpha, beta) for beta in lifts[j]
+                                    if compose(alpha, beta) not in lifts[i]))
+    except KeyError as exc:
+        raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
+                                 "the carrier is not a groupoid") from exc
+    return objs, list(zip(src, tgt, underlying)), id_of, inv
+
+
+def outcome(f, *args):
+    """The fixed points of ``hfp`` or ``pair_hfp`` as comparable tables, or
+    the message of the ``InvariantViolation`` raised instead."""
+    try:
+        r = f(*args)
+    except InvariantViolation as exc:
+        return str(exc)
+    if isinstance(r, tuple):
+        return r
+    h = r.groupoid
+    return list(r.objects), list(zip(h.src, h.tgt, r.underlying)), list(h.id_of), list(h.inv)
+
+
+# ---------------------------------------------------------------------------
+# structures, each with its pair rule
+
+
+def action(a):
+    g = build_action_groupoid(a)
+    return g, action_pair(a, g)
+
+
+def eg(grp):
+    return action(left_multiplication_action(grp))
+
+
+def bg(grp):
+    return action(trivial_point_action(grp))
+
+
+def prod(x, y):
+    return product(x[0], y[0]), product_pair(x[1], y[1], y[0].n_morphisms)
+
+
+def union(parts):
+    gs = [g for g, _ in parts]
+    return disjoint_union(gs), union_pair(gs, [c for _, c in parts])
+
+
+def tabled(g):
+    """A groupoid or category given by a table, with the table lookup."""
+    assert g._comp is not None
+    return g, table_pair(g.comp)
+
+
+def fixed(a, carrier_compose):
+    fp = hfp(a)
+    return fp.groupoid, hfp_pair(fp, carrier_compose)
+
+
+def small_catalog():
+    """``corpus.small_groupoid_catalog()``, built here beside the pair rules."""
+    cat = group_catalog()
+    return [tabled(FiniteGroupoid(0, (), (), (), (), {})), tabled(terminal_groupoid()),
+            tabled(discrete_groupoid(2)), tabled(discrete_groupoid(3)),
+            bg(cat["Z2"]), bg(cat["Z3"]), bg(cat["Z4"]), bg(cat["V4"]), bg(cat["S3"]),
+            eg(cat["Z2"]), eg(cat["Z3"]),
+            union([bg(cat["Z2"]), tabled(terminal_groupoid())]),
+            union([bg(cat["Z2"]), bg(cat["Z2"])]),
+            union([eg(cat["Z2"]), tabled(terminal_groupoid())])]
+
+
+def small_actions():
+    """``small_actions()`` of the gamma tests, as (action, carrier pair rule):
+    trivial and swap involutions of the small catalog, BG of the gamma group
+    fixtures and EG of the involutive fixtures."""
+    for x in small_catalog():
+        yield trivial_action(x[0]), x[1]
+        p = prod(x, x)
+        yield replace(swap_action(x[0]), carrier=p[0]), p[1]
+    for f in gamma_group_fixtures():
+        c = bg(f.group)
+        yield replace(bg_gamma_action(f), carrier=c[0]), c[1]
+    for d in involutive_fixtures():
+        c = eg(d.group)
+        yield replace(eg_gamma_action(d.group, d.theta), carrier=c[0]), c[1]
+
+
+def eg_transposition(n):
+    g = symmetric_group(n)
+    c = eg(g)
+    return replace(eg_gamma_action(g, conjugation_automorphism(g, 1)), carrier=c[0]), c[1]
+
+
+def nested_action():
+    """The product of the EG(S3) and BG(C4) involutions."""
+    a, a_compose = eg_transposition(3)
+    b_fixture = gamma_group_fixtures()[3]  # C4 with inversion
+    c = bg(b_fixture.group)
+    b = replace(bg_gamma_action(b_fixture), carrier=c[0])
+    p = prod((a.carrier, a_compose), c)
+    return replace(gamma_product(a, b), carrier=p[0]), p[1]
+
+
+def carriers():
+    """Rule-backed and table-backed structures of every kind, with their pair
+    rules."""
+    cat = group_catalog()
+    out = [eg(grp) for grp in cat.values()] + [bg(grp) for grp in cat.values()]
+    out.append(action(GroupAction(cyclic_group(4), 2, ((0, 1), (1, 0), (0, 1), (1, 0)))))
+    out += [prod(eg(cat["Z2"]), bg(cat["Z3"])), prod(bg(cat["S3"]), eg(cat["Z3"])),
+            prod(eg(cat["S3"]), eg(cat["S3"]))]  # the swap carrier of EG(S3)
+    out += [prod(x, x) for x in small_catalog()]
+    out += [union([bg(cat["Z2"]), tabled(terminal_groupoid()), eg(cat["Z3"])]),
+            union([prod(eg(cat["Z2"]), bg(cat["Z2"])), bg(cat["S3"])]),
+            prod(union([bg(cat["Z2"]), eg(cat["Z2"])]), bg(cat["Z3"]))]
+    out.append(tabled(relabel(build_action_groupoid(left_multiplication_action(cat["S3"])),
+                              range(6), [35 - m for m in range(36)])))
+    out += [tabled(random_filtered_diagram(random.Random(seed)).index) for seed in range(5)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# checks
+
+
+def assert_rows_match(g, compose):
+    """Each row out of the target of each arrow composes as the pair rule
+    does, one pair at a time; so does ``compose``.  A rule stays a rule."""
+    rule = g._comp is None
+    for m1 in g.morphisms():
+        row = g.out_of[g.tgt[m1]]
+        want = [compose(m1, m2) for m2 in row]
+        assert g.compose_each(m1, row) == want
+        assert [g.compose(m1, m2) for m2 in row] == want
+    assert (g._comp is None) == rule
+
+
+def assert_compose_checks_endpoints(g):
+    if g.n_morphisms <= 600:
+        assert all(raises_key_error(g.compose, m1, m2)
+                   for m1 in g.morphisms() for m2 in g.morphisms()
+                   if g.tgt[m1] != g.src[m2])
+
+
+def test_the_mirrored_catalog_and_actions_are_the_corpus_ones():
+    assert [g for g, _ in small_catalog()] == list(small_groupoid_catalog())
+    assert [a for a, _ in small_actions()] == list(corpus_small_actions())
+
+
+@pytest.mark.parametrize("i", range(len(carriers())))
+def test_carrier_rows_match_the_pair_rules(i):
+    g, compose = carriers()[i]
+    assert_rows_match(g, compose)
+    assert_compose_checks_endpoints(g)
+
+
+@pytest.mark.parametrize("name, actions", [
+    ("small", lambda: list(small_actions())),
+    ("eg-s3-s4", lambda: [eg_transposition(3), eg_transposition(4)]),
+    ("nested", lambda: [nested_action()]),
+])
+def test_fixed_point_rows_match_the_pair_rules(name, actions):
+    for a, carrier_compose in actions():
+        h, compose = fixed(a, carrier_compose)
+        assert_rows_match(h, compose)
+        assert_compose_checks_endpoints(h)
+
+
+def test_fixed_points_of_fixed_points_compose_by_rows():
+    a, carrier_compose = nested_action()
+    h, compose = fixed(a, carrier_compose)
+    inner, inner_compose = fixed(trivial_action(h), compose)
+    assert inner.n_morphisms > 100
+    assert_rows_match(inner, inner_compose)
+
+
+def test_hfp_agrees_with_the_pair_construction():
+    bad = corrupted_bg_z2()
+    for a, carrier_compose in [*small_actions(), eg_transposition(3), nested_action(),
+                               (trivial_action(bad), table_pair(bad.comp))]:
+        assert outcome(hfp, a) == outcome(pair_hfp, a, carrier_compose)
+
+
+def test_a_composite_moved_to_a_parallel_arrow_fails_the_closure_walk():
+    # BG(S3) by table, with the involution of the S3 gamma fixture.  Moving
+    # the composite (1 then 2) from 3 to the parallel arrow 4 leaves arrow 1
+    # without a lift out of one fixed point, while every identity and every
+    # inverse still lifts: only the walk over composable pairs of lifts fails.
+    s3 = next(f for f in gamma_group_fixtures() if f.bar == (0, 5, 2, 4, 3, 1))
+    g = build_action_groupoid(trivial_point_action(s3.group))
+    table = dict(g.comp)
+    assert table[(1, 2)] == 3
+    table[(1, 2)] = 4
+    a = replace(bg_gamma_action(s3),
+                carrier=FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, table))
+    message = ("no fixed-point arrow or composite over 1: "
+               "the carrier is not a groupoid")
+    assert outcome(pair_hfp, a, table_pair(table)) == message
+    with pytest.raises(InvariantViolation) as exc:
+        hfp(a)
+    assert str(exc.value) == message
+
+
+def random_bar(rng, g, keeps_sources):
+    """An in-range involution table for g that is rarely a functor: bar on
+    objects is a random involution, and bar on morphisms either a random
+    table or, if ``keeps_sources``, a random arrow out of bar(src[m])."""
+    objs = list(g.objects())
+    rng.shuffle(objs)
+    bar_obj = list(g.objects())
+    for x, y in zip(objs[::2], objs[1::2]):
+        bar_obj[x], bar_obj[y] = y, x
+    if keeps_sources:
+        bar_mor = [rng.choice(g.out_of[bar_obj[x]]) for x in g.src]
+    else:
+        bar_mor = [rng.randrange(g.n_morphisms) for _ in g.morphisms()]
+    return tuple(bar_obj), tuple(bar_mor)
+
+
+def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
+    # only action and table carriers: there the pair rules raise on the
+    # carrier's own pair, as ``compose`` does
+    cat = group_catalog()
+    pool = [eg(cat["S3"]), bg(cat["S3"]), bg(cat["V4"]), eg(cat["Z4"]),
+            action(GroupAction(cyclic_group(4), 2, ((0, 1), (1, 0), (0, 1), (1, 0)))),
+            tabled(relabel(build_action_groupoid(left_multiplication_action(cat["S3"])),
+                           range(6), [35 - m for m in range(36)]))]
+    rng = random.Random("non-functor bars")
+    kinds = set()
+    for k in range(50):
+        g, compose = rng.choice(pool)
+        bar_obj, bar_mor = random_bar(rng, g, keeps_sources=k % 2 == 0)
+        a = GammaAction(g, bar_obj, bar_mor)
+        got = outcome(hfp, a)
+        assert got == outcome(pair_hfp, a, compose)
+        kinds.add(type(got))
+    assert kinds == {str, tuple}  # both outcomes occur
