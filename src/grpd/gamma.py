@@ -165,11 +165,24 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     each phi1 over its target.  Composition is a row rule induced from the
     carrier's: the arrow out of (x, phi) over alpha, then the arrows over a
     row of betas, are the arrows out of (x, phi) over the carrier's row of
-    alpha then the betas.  Every composable pair is checked to have that
-    arrow, a row at a time, and a carrier that lacks it, or lacks a
-    composite, an identity or an inverse arrow, raises
-    ``InvariantViolation``.  So does a bar table of the wrong length or with
-    an entry out of range.  Whether bar is a functor is left to
+    alpha then the betas.
+
+    That arrow is checked on a star generating set, one carrier row per
+    generator: in each component a root r, every arrow out of r, and for each
+    other object x that r reaches the inverse of the first arrow m_x from r
+    to x.  An arrow is good when its row lifts, each composite landing where
+    the arrow it was composed with lands.  Good arrows are closed under
+    composition, and m: x -> y is inv(m_x) then (m_x then m), so on a
+    carrier that is a groupoid, with any bar, the star decides every
+    composable pair.  Only when a generator fails is every pair walked, a
+    row at a time; a carrier that lacks that arrow, or lacks a composite, an
+    identity or an inverse arrow, raises ``InvariantViolation``.  On a
+    carrier that is not a groupoid the star can pass where the walk would
+    fail, so completeness rests on ``validate_gamma_action``, which every
+    compute command runs first.
+
+    A bar table of the wrong length or with an entry out of range also
+    raises ``InvariantViolation``.  Whether bar is a functor is left to
     ``validate_gamma_action``, so each bar(alpha) is checked to leave the
     target of phi before its row is read.
     """
@@ -227,12 +240,13 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
                 underlying.append(alpha)
         id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
         inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
-        # closure: alpha then beta lifts out of src for every composable pair
-        lift_sets = [set(out) for out in lifts]
-        for i, j, alpha in zip(src, tgt, underlying):
-            row = each(alpha, lifts[j])
-            if not lift_sets[i].issuperset(row):
-                raise KeyError(next(k for k in row if k not in lift_sets[i]))
+        if not _closed_on_a_star(each, lifts, src, tgt, underlying, inv):
+            # closure: alpha then beta lifts out of src for every composable pair
+            lift_sets = [set(out) for out in lifts]
+            for i, j, alpha in zip(src, tgt, underlying):
+                row = each(alpha, lifts[j])
+                if not lift_sets[i].issuperset(row):
+                    raise KeyError(next(k for k in row if k not in lift_sets[i]))
     except KeyError as exc:
         raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
                                  "the carrier is not a groupoid") from exc
@@ -248,6 +262,32 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     )
     return HomotopyFixedPoints(a, groupoid, tuple(objs), tuple(underlying),
                                obj_index, lifts)
+
+
+def _closed_on_a_star(each, lifts, src, tgt, underlying, inv) -> bool:
+    """Whether every generator of the star described in ``hfp`` is good;
+    False on any failure, a missing composite included."""
+    covered = [False] * len(lifts)
+    generators = []
+    for r, out in enumerate(lifts):
+        if covered[r]:
+            continue
+        generators.extend(out.values())
+        for x, k in {tgt[k]: k for k in reversed(out.values())}.items():  # first arrow to x
+            covered[x] = True
+            if x != r:
+                if tgt[inv[k]] != r:
+                    return False
+                generators.append(inv[k])
+    try:
+        for k in generators:
+            into, out = lifts[src[k]], lifts[tgt[k]]
+            row = each(underlying[k], list(out))
+            if [tgt[into[c]] for c in row] != [tgt[m] for m in out.values()]:
+                return False
+    except KeyError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -43,3 +43,12 @@ def test_no_function_imports_a_module_its_file_imports_at_the_top():
                  if isinstance(node, ast.ImportFrom) and node.level == 1
                  and node.module in top]
         assert local == [], path.name
+
+
+def test_no_assert_statement_in_the_package():
+    # invariant checks raise, so ``python -O`` keeps them
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(grpd.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -6,7 +6,9 @@ the pair rules the structures used before: the action groupoid's, the
 product's, the disjoint union's and the fixed points', plus a table lookup,
 and ``pair_hfp``, the fixed point construction that called a pair rule once
 per pair.  Every structure these tests build carries its reference pair rule
-beside it, so nested structures nest their references.
+beside it, so nested structures nest their references.  ``pair_hfp`` also
+keeps the closure walk over every composable pair, the reference for the
+star generating set on which ``hfp`` checks its closure.
 """
 
 import random
@@ -15,6 +17,7 @@ from itertools import repeat
 
 import pytest
 
+from grpd import gamma
 from grpd.cohomology import bg_gamma_action
 from grpd.core import (
     FiniteGroupoid,
@@ -355,21 +358,94 @@ def random_bar(rng, g, keeps_sources):
     return tuple(bar_obj), tuple(bar_mor)
 
 
-def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
-    # only action and table carriers: there the pair rules raise on the
-    # carrier's own pair, as ``compose`` does
+def record_star(monkeypatch):
+    """The results of ``hfp``'s star check, one per call, in a list."""
+    star, taken = gamma._closed_on_a_star, []
+    monkeypatch.setattr(gamma, "_closed_on_a_star",
+                        lambda *args: taken.append(star(*args)) or taken[-1])
+    return taken
+
+
+def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors(monkeypatch):
+    # action and table carriers carry their pair rules, which raise on the
+    # carrier's own pair as ``compose`` does; products, unions and fixed
+    # points are walked with their own checked ``compose``
     cat = group_catalog()
+    checked = lambda x: (x[0], x[0].compose)
     pool = [eg(cat["S3"]), bg(cat["S3"]), bg(cat["V4"]), eg(cat["Z4"]),
             action(GroupAction(cyclic_group(4), 2, ((0, 1), (1, 0), (0, 1), (1, 0)))),
             tabled(relabel(build_action_groupoid(left_multiplication_action(cat["S3"])),
-                           range(6), [35 - m for m in range(36)]))]
+                           range(6), [35 - m for m in range(36)])),
+            checked(prod(eg(cat["Z2"]), bg(cat["Z3"]))),
+            checked(prod(bg(cat["S3"]), eg(cat["Z3"]))),
+            checked(union([bg(cat["Z2"]), tabled(terminal_groupoid()), eg(cat["Z3"])])),
+            checked(union([prod(eg(cat["Z2"]), bg(cat["Z2"])), bg(cat["S3"])])),
+            checked(fixed(*eg_transposition(3))),
+            checked(fixed(*nested_action()))]
+    taken = record_star(monkeypatch)
+    # every carrier ten times, then BG(V4) and C4 on two points, the carriers
+    # where a random bar most often fails a generator
+    draws = [(pool[k % len(pool)], k % 2 == 0) for k in range(10 * len(pool))]
+    draws += [(pool[2 + 2 * (k % 2)], True) for k in range(300)]
     rng = random.Random("non-functor bars")
-    kinds = set()
-    for k in range(50):
-        g, compose = rng.choice(pool)
-        bar_obj, bar_mor = random_bar(rng, g, keeps_sources=k % 2 == 0)
+    seen = set()
+    for (g, compose), keeps_sources in draws:
+        bar_obj, bar_mor = random_bar(rng, g, keeps_sources)
         a = GammaAction(g, bar_obj, bar_mor)
+        want = outcome(pair_hfp, a, compose)
+        taken.clear()
         got = outcome(hfp, a)
-        assert got == outcome(pair_hfp, a, compose)
-        kinds.add(type(got))
-    assert kinds == {str, tuple}  # both outcomes occur
+        assert got == want
+        seen.add((tuple(taken), type(got)))
+        with monkeypatch.context() as m:  # the walk alone gives the same outcome
+            m.setattr(gamma, "_closed_on_a_star", lambda *args: False)
+            assert outcome(hfp, a) == want
+    # the star passes, fails on a carrier whose closure holds, fails on one
+    # whose closure does not, or is never reached
+    assert seen == {((True,), tuple), ((False,), tuple), ((False,), str), ((), str)}
+
+
+def test_the_closure_reads_one_row_per_generator(monkeypatch):
+    # EG(S4) under conjugation has 24 fixed points in one component: the star
+    # is 24 arrows out of the root and 23 back, the walk one row per arrow
+    a, _ = eg_transposition(4)
+    each = a.carrier.compose_each
+    rows = []
+    a.carrier.compose_each = lambda m1, ms: rows.append(m1) or each(m1, ms)
+
+    def closure_rows(check):
+        scanned = []
+
+        def counted(*args):
+            scanned.append(len(rows))
+            return check(*args)
+
+        monkeypatch.setattr(gamma, "_closed_on_a_star", counted)
+        rows.clear()
+        assert len(hfp(a).underlying) == 576
+        return len(rows) - scanned[0]
+
+    assert closure_rows(gamma._closed_on_a_star) == 47
+    assert closure_rows(lambda *args: False) == 576
+
+
+def test_a_composite_dropped_from_a_generator_row_falls_back_to_the_walk(monkeypatch):
+    # EG(S3) by table under conjugation.  The arrows out of fixed point 0 are
+    # generators; one of their rows loses a composite that the arrow scan
+    # never reads, so the star check meets the KeyError and the walk reports
+    # the missing pair
+    a, _ = eg_transposition(3)
+    g = a.carrier
+    fp = hfp(a)
+    phi = {o.base: o.phi for o in fp.objects}
+    alpha = next(k for k in fp._lifts[0] if k not in (g.id_of[0], phi[0]))
+    beta = next(k for k in g.out_of[g.tgt[alpha]] if k != phi[g.tgt[alpha]])
+    table = dict(g.comp)
+    del table[alpha, beta]
+    bad = replace(a, carrier=FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, table))
+    taken = record_star(monkeypatch)
+    message = (f"no fixed-point arrow or composite over {(alpha, beta)}: "
+               "the carrier is not a groupoid")
+    assert outcome(pair_hfp, bad, table_pair(table)) == message
+    assert outcome(hfp, bad) == message
+    assert taken == [False]
