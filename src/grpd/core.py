@@ -414,21 +414,33 @@ def build_bg(g: FiniteGroup) -> FiniteGroupoid:
     return build_action_groupoid(trivial_point_action(g))
 
 
-def _connected(g: FiniteGroupoid) -> UnionFind:
-    uf = UnionFind(g.n_objects)
-    for x, y in zip(g.src, g.tgt):
-        uf.union(x, y)
-    return uf
+def _stars(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
+    """One star per component, in order of least object: the root r and, for
+    each object x of its component, ``star[x]``, the first arrow r -> x in
+    ``out_of[r]``.  Proof that these arrows and the arrows out of r generate
+    the component: m: x -> y is inv(star[x]) then (star[x] then m)."""
+    stars, covered = [], bytearray(g.n_objects)
+    for r in g.objects():
+        if not covered[r]:
+            star = {g.tgt[k]: k for k in reversed(g.out_of[r])}  # the first arrow wins
+            for x in star:
+                covered[x] = 1
+            stars.append((r, star))
+    return stars
 
 
 def components(g: FiniteGroupoid) -> list[list[int]]:
     """Isomorphism classes of objects as sorted lists, ordered by least object."""
-    return _connected(g).classes()
+    return [sorted(star) for _, star in _stars(g)]
 
 
 def component_index(g: FiniteGroupoid) -> list[int]:
     """The number of each object's component, as in ``components``."""
-    return _connected(g).class_index()[0]
+    index = [0] * g.n_objects
+    for c, (_, star) in enumerate(_stars(g)):
+        for x in star:
+            index[x] = c
+    return index
 
 
 def is_fibration(f: GroupoidMap) -> bool:
@@ -441,28 +453,25 @@ def is_fibration(f: GroupoidMap) -> bool:
 
 
 def is_weak_equivalence(f: GroupoidMap) -> bool:
-    """Fully faithful (bijective on each ordered hom set) and essentially surjective."""
-    dom, cod = f.dom, f.cod
-    for x in dom.objects():
-        fx = f.obj_map[x]
-        for y in dom.objects():
-            ms = dom.hom(x, y)
-            images = {f.mor_map[k] for k in ms}
-            if len(images) != len(ms):
-                return False
-            if len(ms) != len(cod.hom(fx, f.obj_map[y])):
-                return False
+    """Whether a functor, which ``f`` must be, is fully faithful and
+    essentially surjective: a bijection on components, and a bijection
+    aut(r) -> aut(f r) at the root r of each component of the domain."""
+    dom, cod, obj_map, mor_map = f.dom, f.cod, f.obj_map, f.mor_map
+    roots = [r for r, _ in _stars(dom)]
     comp_of = component_index(cod)
-    hit = {comp_of[f.obj_map[x]] for x in dom.objects()}
-    return all(comp_of[y] in hit for y in cod.objects())
+    hit = {comp_of[obj_map[r]] for r in roots}
+    if len(hit) != len(roots) or hit != set(comp_of):
+        return False
+    for r in roots:
+        auts = dom.aut(r)
+        if len({mor_map[k] for k in auts}) != len(auts) or len(auts) != len(cod.aut(obj_map[r])):
+            return False
+    return True
 
 
 def groupoid_cardinality(g: FiniteGroupoid) -> Fraction:
     """Sum of 1/|Aut| over isomorphism classes, as an exact rational."""
-    total = Fraction(0)
-    for cls in components(g):
-        total += Fraction(1, len(g.aut(cls[0])))
-    return total
+    return sum((Fraction(1, len(g.aut(r))) for r, _ in _stars(g)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ module.  That is the only place the two conventions need translating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .core import (
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
+    _stars,
     discrete_groupoid,
     disjoint_union,
     is_weak_equivalence,
@@ -167,24 +169,24 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     row of betas, are the arrows out of (x, phi) over the carrier's row of
     alpha then the betas.
 
-    That arrow is checked on a star generating set, one carrier row per
-    generator: in each component a root r, every arrow out of r, and for each
-    other object x that r reaches the inverse of the first arrow m_x from r
-    to x.  An arrow is good when its row lifts, each composite landing where
-    the arrow it was composed with lands.  Good arrows are closed under
-    composition, and m: x -> y is inv(m_x) then (m_x then m), so on a
-    carrier that is a groupoid, with any bar, the star decides every
-    composable pair.  Only when a generator fails is every pair walked, a
-    row at a time; a carrier that lacks that arrow, or lacks a composite, an
-    identity or an inverse arrow, raises ``InvariantViolation``.  On a
-    carrier that is not a groupoid the star can pass where the walk would
-    fail, so completeness rests on ``validate_gamma_action``, which every
-    compute command runs first.
+    Closure under that composite is checked on one star per component
+    (``core._stars``), one carrier row per generator: every arrow out of the
+    root r, and the inverse of each star arrow r -> x, which must return to
+    r.  A generator passes when its row lifts, each composite landing where
+    the arrow it was composed with lands; passing arrows are closed under
+    composition and generate the component.  So on a carrier that is a
+    groupoid, with any bar, the generators pass exactly when the fixed
+    points form a groupoid, and otherwise ``InvariantViolation`` is raised:
+    for a missing arrow, composite, identity or inverse (the carrier is not
+    a groupoid), or for a composite or inverse that lands on the wrong fixed
+    point (the carrier is not a groupoid or bar is not a functor).  On a
+    carrier that is not a groupoid the star can pass where a walk over every
+    composable pair would fail, so completeness rests on
+    ``validate_gamma_action``, which every compute command runs first.
 
     A bar table of the wrong length or with an entry out of range also
-    raises ``InvariantViolation``.  Whether bar is a functor is left to
-    ``validate_gamma_action``, so each bar(alpha) is checked to leave the
-    target of phi before its row is read.
+    raises ``InvariantViolation``.  Bar need not be a functor, so each
+    bar(alpha) is checked to leave the target of phi before its row is read.
     """
     g = a.carrier
     each, bar_mor = g.compose_each, a.bar_mor
@@ -240,54 +242,34 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
                 underlying.append(alpha)
         id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
         inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
-        if not _closed_on_a_star(each, lifts, src, tgt, underlying, inv):
-            # closure: alpha then beta lifts out of src for every composable pair
-            lift_sets = [set(out) for out in lifts]
-            for i, j, alpha in zip(src, tgt, underlying):
-                row = each(alpha, lifts[j])
-                if not lift_sets[i].issuperset(row):
-                    raise KeyError(next(k for k in row if k not in lift_sets[i]))
+        del after, between  # the scan's rows, released before the closure check
+
+        def compose_fp(m1, ms):
+            return list(map(lifts[src[m1]].__getitem__,
+                            each(underlying[m1], [underlying[m2] for m2 in ms])))
+
+        groupoid = FiniteGroupoid(
+            len(objs), src, tgt, id_of, inv, compose_fp,
+            obj_labels=tuple(f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in objs),
+            mor_labels=tuple(g.mor_label(k) for k in underlying),
+        )
+        for r, star in _stars(groupoid):
+            back = [inv[k] for x, k in star.items() if x != r]
+            if any(tgt[k] != r for k in back):
+                raise InvariantViolation(f"an inverse of a star arrow does not return to {r}: "
+                                         "the carrier is not a groupoid or bar is not a functor")
+            for k in chain(groupoid.out_of[r], back):
+                into, out = lifts[src[k]], lifts[tgt[k]]
+                row = each(underlying[k], list(out))
+                if [tgt[into[c]] for c in row] != [tgt[m] for m in out.values()]:
+                    raise InvariantViolation(f"a composite with fixed-point arrow {k} lands "
+                                             "on the wrong fixed point: the carrier is not a "
+                                             "groupoid or bar is not a functor")
     except KeyError as exc:
         raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
                                  "the carrier is not a groupoid") from exc
-
-    def compose_fp(m1, ms):
-        return list(map(lifts[src[m1]].__getitem__,
-                        each(underlying[m1], [underlying[m2] for m2 in ms])))
-
-    groupoid = FiniteGroupoid(
-        len(objs), src, tgt, id_of, inv, compose_fp,
-        obj_labels=tuple(f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in objs),
-        mor_labels=tuple(g.mor_label(k) for k in underlying),
-    )
     return HomotopyFixedPoints(a, groupoid, tuple(objs), tuple(underlying),
                                obj_index, lifts)
-
-
-def _closed_on_a_star(each, lifts, src, tgt, underlying, inv) -> bool:
-    """Whether every generator of the star described in ``hfp`` is good;
-    False on any failure, a missing composite included."""
-    covered = [False] * len(lifts)
-    generators = []
-    for r, out in enumerate(lifts):
-        if covered[r]:
-            continue
-        generators.extend(out.values())
-        for x, k in {tgt[k]: k for k in reversed(out.values())}.items():  # first arrow to x
-            covered[x] = True
-            if x != r:
-                if tgt[inv[k]] != r:
-                    return False
-                generators.append(inv[k])
-    try:
-        for k in generators:
-            into, out = lifts[src[k]], lifts[tgt[k]]
-            row = each(underlying[k], list(out))
-            if [tgt[into[c]] for c in row] != [tgt[m] for m in out.values()]:
-                return False
-    except KeyError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

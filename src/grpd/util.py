@@ -100,11 +100,3 @@ class UnionFind:
             else:
                 class_of[x] = class_of[root]
         return class_of, n_classes
-
-    def classes(self) -> list[list[int]]:
-        """Equivalence classes as sorted lists, ordered by their minimum."""
-        class_of, n_classes = self.class_index()
-        out = [[] for _ in range(n_classes)]
-        for x, c in enumerate(class_of):
-            out[c].append(x)
-        return out

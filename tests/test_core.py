@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grpd import presheaf
 from grpd.core import (
     _category_report,
     NotFreeError,
@@ -35,10 +36,14 @@ from grpd.core import (
 from grpd.corpus import (
     corrupted_bg_z2,
     gamma_group_fixtures,
+    random_equivariant_fibration,
+    random_equivariant_weq,
+    random_gamma_action,
     random_groupoid,
     small_groupoid_catalog,
     swap_corpus,
 )
+from grpd.gamma import hfp, hfp_map
 from grpd.groups import (
     FiniteGroup,
     GroupAction,
@@ -50,7 +55,8 @@ from grpd.groups import (
     trivial_point_action,
     validate_group,
 )
-from grpd.suites import naive_is_fibration, naive_is_weak_equivalence
+from grpd.suites import (enumerate_functors, naive_is_fibration, naive_is_weak_equivalence,
+                         suite_stalk_commutation)
 from grpd.util import UnionFind, _associativity_report
 
 
@@ -344,6 +350,54 @@ def test_fast_predicates_agree_with_quantifier_oracle():
         assert is_weak_equivalence(f) == naive_is_weak_equivalence(f)
 
 
+def hom_pair_is_weak_equivalence(f):
+    """The hom-pair routine ``is_weak_equivalence`` used before it read
+    components and vertex groups: a bijection on every ordered hom set and
+    essentially surjective."""
+    dom, cod = f.dom, f.cod
+    for x in dom.objects():
+        fx = f.obj_map[x]
+        for y in dom.objects():
+            ms = dom.hom(x, y)
+            images = {f.mor_map[k] for k in ms}
+            if len(images) != len(ms):
+                return False
+            if len(ms) != len(cod.hom(fx, f.obj_map[y])):
+                return False
+    comp_of = component_index(cod)
+    hit = {comp_of[f.obj_map[x]] for x in dom.objects()}
+    return all(comp_of[y] in hit for y in cod.objects())
+
+
+def test_is_weak_equivalence_agrees_with_the_hom_pair_routine():
+    catalog = small_groupoid_catalog()
+    maps = [f for a in catalog for b in catalog for f in enumerate_functors(a, b)]
+    rng = random.Random("weak equivalences")
+    for draw in [random_equivariant_weq] * 60 + [random_equivariant_fibration] * 60:
+        e = draw(rng)
+        maps += [e.map, hfp_map(e)]
+    verdicts = set()
+    for f in maps:
+        assert validate_functor(f) == []
+        verdict = is_weak_equivalence(f)
+        assert verdict == hom_pair_is_weak_equivalence(f)
+        verdicts.add(verdict)
+    assert len(maps) > 1000 and verdicts == {True, False}
+
+
+def test_the_stalk_suite_decides_functors_only(monkeypatch):
+    # is_weak_equivalence and is_fibration take a functor; the stalk suite
+    # hands them the sections and stalks of random sectionwise maps
+    taken = []
+    for name in ("is_weak_equivalence", "is_fibration"):
+        decide = getattr(presheaf, name)
+        monkeypatch.setattr(presheaf, name,
+                            lambda f, decide=decide: taken.append(f) or decide(f))
+    passed, _ = suite_stalk_commutation(0, "small")
+    assert passed and len(taken) > 50
+    assert all(validate_functor(f) == [] for f in taken)
+
+
 def test_quotient_comparison_free_normal():
     a = left_multiplication_action(cyclic_group(4))
     q = quotient_comparison(a, (0, 2))
@@ -575,17 +629,28 @@ def test_union_find_numbers_classes_by_their_minimum():
                     blocks.remove(by)
                     bx |= by
             want = sorted(sorted(b) for b in blocks)
-            assert uf.classes() == want
             class_of, n_classes = uf.class_index()
-            assert n_classes == len(want)
+            assert [[x for x in range(n) if class_of[x] == c] for c in range(n_classes)] == want
             assert class_of == [next(i for i, b in enumerate(want) if x in b)
                                 for x in range(n)]
 
 
 def test_component_index_numbers_components_in_order():
+    # seeded random groupoids, every other one renamed by random
+    # permutations so that the least object of a component sits anywhere in
+    # the arrow tables, and fixed points of seeded random involutions
+    rng = random.Random("components")
+    drawn = []
+    for k in range(200):
+        g = random_groupoid(rng)
+        if k % 2:
+            obj_perm = rng.sample(range(g.n_objects), g.n_objects)
+            g = relabel(g, obj_perm, rng.sample(range(g.n_morphisms), g.n_morphisms))
+        drawn.append(g)
+    drawn += [hfp(random_gamma_action(rng)).groupoid for _ in range(50)]
     groupoids = list(small_groupoid_catalog()) + [
         disjoint_union([build_bg(cyclic_group(2)), build_eg(cyclic_group(3)),
-                        discrete_groupoid(2)])]
+                        discrete_groupoid(2)])] + drawn
     for g in groupoids:
         # flood fill from each object not yet reached, in increasing order
         want = [None] * g.n_objects

@@ -13,6 +13,7 @@ import grpd
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
     InvariantViolation,
+    build_action_groupoid,
     build_bg,
     build_eg,
     components,
@@ -37,6 +38,7 @@ from grpd.corpus import (
 )
 from grpd.gamma import (
     EquivariantMap,
+    GammaAction,
     NotEquivariantError,
     equivariance_witness,
     gamma_product,
@@ -50,8 +52,8 @@ from grpd.gamma import (
     trivial_action,
     validate_gamma_action,
 )
-from grpd.groups import (conjugation_automorphism, cyclic_group, inversion_automorphism,
-                         symmetric_group)
+from grpd.groups import (GroupAction, conjugation_automorphism, cyclic_group,
+                         inversion_automorphism, symmetric_group)
 
 
 def bz2_trivial():
@@ -186,8 +188,6 @@ def test_gamma_product_and_relabel_are_valid():
 
 
 def test_validate_gamma_action_catches_non_involution():
-    from grpd.gamma import GammaAction
-
     g = build_bg(cyclic_group(3))
     inversion = GammaAction(g, (0,), (0, 2, 1))
     assert validate_gamma_action(inversion) == []
@@ -207,6 +207,17 @@ def test_hfp_of_a_bad_carrier_raises_invariant_violation():
     # the check must hold under python -O too, so it is not an assert
     with pytest.raises(InvariantViolation):
         hfp(trivial_action(corrupted_bg_z2()))
+
+
+def test_hfp_raises_where_a_bar_that_is_not_a_functor_breaks_the_fixed_points():
+    # C4 acting on two points through C2; bar is in range but not a functor.
+    # The fixed points' identity arrows would be 0: 0 -> 1 and 1: 1 -> 0.
+    a = GammaAction(build_action_groupoid(GroupAction(cyclic_group(4), 2,
+                                                      ((0, 1), (1, 0), (0, 1), (1, 0)))),
+                    (1, 0), (5, 4, 1, 6, 1, 2, 1, 2))
+    assert validate_gamma_action(a) != []
+    with pytest.raises(InvariantViolation, match="lands on the wrong fixed point"):
+        hfp(a)
 
 
 @pytest.mark.parametrize("field, edit, message", [

@@ -8,7 +8,7 @@ and ``pair_hfp``, the fixed point construction that called a pair rule once
 per pair.  Every structure these tests build carries its reference pair rule
 beside it, so nested structures nest their references.  ``pair_hfp`` also
 keeps the closure walk over every composable pair, the reference for the
-star generating set on which ``hfp`` checks its closure.
+star generating sets on which ``hfp`` checks its closure.
 """
 
 import random
@@ -17,7 +17,6 @@ from itertools import repeat
 
 import pytest
 
-from grpd import gamma
 from grpd.cohomology import bg_gamma_action
 from grpd.core import (
     FiniteGroupoid,
@@ -29,6 +28,7 @@ from grpd.core import (
     relabel,
     terminal_groupoid,
     union_offsets,
+    validate_groupoid,
 )
 from grpd.corpus import (
     corrupted_bg_z2,
@@ -322,11 +322,13 @@ def test_hfp_agrees_with_the_pair_construction():
         assert outcome(hfp, a) == outcome(pair_hfp, a, carrier_compose)
 
 
-def test_a_composite_moved_to_a_parallel_arrow_fails_the_closure_walk():
+def test_a_composite_moved_to_a_parallel_arrow_fails_the_closure_check():
     # BG(S3) by table, with the involution of the S3 gamma fixture.  Moving
     # the composite (1 then 2) from 3 to the parallel arrow 4 leaves arrow 1
     # without a lift out of one fixed point, while every identity and every
-    # inverse still lifts: only the walk over composable pairs of lifts fails.
+    # inverse still lifts.  The walk over composable pairs of lifts meets the
+    # missing lift; the star meets a generator whose composite lands on the
+    # wrong fixed point first.
     s3 = next(f for f in gamma_group_fixtures() if f.bar == (0, 5, 2, 4, 3, 1))
     g = build_action_groupoid(trivial_point_action(s3.group))
     table = dict(g.comp)
@@ -334,12 +336,12 @@ def test_a_composite_moved_to_a_parallel_arrow_fails_the_closure_walk():
     table[(1, 2)] = 4
     a = replace(bg_gamma_action(s3),
                 carrier=FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, table))
-    message = ("no fixed-point arrow or composite over 1: "
-               "the carrier is not a groupoid")
-    assert outcome(pair_hfp, a, table_pair(table)) == message
+    assert outcome(pair_hfp, a, table_pair(table)) == (
+        "no fixed-point arrow or composite over 1: the carrier is not a groupoid")
     with pytest.raises(InvariantViolation) as exc:
         hfp(a)
-    assert str(exc.value) == message
+    assert str(exc.value) == ("a composite with fixed-point arrow 4 lands on the wrong fixed "
+                              "point: the carrier is not a groupoid or bar is not a functor")
 
 
 def random_bar(rng, g, keeps_sources):
@@ -358,15 +360,23 @@ def random_bar(rng, g, keeps_sources):
     return tuple(bar_obj), tuple(bar_mor)
 
 
-def record_star(monkeypatch):
-    """The results of ``hfp``'s star check, one per call, in a list."""
-    star, taken = gamma._closed_on_a_star, []
-    monkeypatch.setattr(gamma, "_closed_on_a_star",
-                        lambda *args: taken.append(star(*args)) or taken[-1])
-    return taken
+def pair_groupoid(tables, compose):
+    """The tables of ``pair_hfp`` as a groupoid whose composition table holds
+    the lift of each composable pair's composite."""
+    objs, arrows, id_of, inv = tables
+    src, tgt, underlying = zip(*arrows) if arrows else ((), (), ())
+    lifts = [{} for _ in objs]
+    for m, (i, _, alpha) in enumerate(arrows):
+        lifts[i][alpha] = m
+    out_of = [[] for _ in objs]
+    for m, i in enumerate(src):
+        out_of[i].append(m)
+    comp = {(m1, m2): lifts[src[m1]][compose(underlying[m1], underlying[m2])]
+            for m1 in range(len(arrows)) for m2 in out_of[tgt[m1]]}
+    return FiniteGroupoid(len(objs), src, tgt, id_of, inv, comp)
 
 
-def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors(monkeypatch):
+def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
     # action and table carriers carry their pair rules, which raise on the
     # carrier's own pair as ``compose`` does; products, unions and fixed
     # points are walked with their own checked ``compose``
@@ -382,9 +392,8 @@ def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors(mon
             checked(union([prod(eg(cat["Z2"]), bg(cat["Z2"])), bg(cat["S3"])])),
             checked(fixed(*eg_transposition(3))),
             checked(fixed(*nested_action()))]
-    taken = record_star(monkeypatch)
     # every carrier ten times, then BG(V4) and C4 on two points, the carriers
-    # where a random bar most often fails a generator
+    # where a random bar most often breaks the fixed points
     draws = [(pool[k % len(pool)], k % 2 == 0) for k in range(10 * len(pool))]
     draws += [(pool[2 + 2 * (k % 2)], True) for k in range(300)]
     rng = random.Random("non-functor bars")
@@ -393,47 +402,40 @@ def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors(mon
         bar_obj, bar_mor = random_bar(rng, g, keeps_sources)
         a = GammaAction(g, bar_obj, bar_mor)
         want = outcome(pair_hfp, a, compose)
-        taken.clear()
         got = outcome(hfp, a)
-        assert got == want
-        seen.add((tuple(taken), type(got)))
-        with monkeypatch.context() as m:  # the walk alone gives the same outcome
-            m.setattr(gamma, "_closed_on_a_star", lambda *args: False)
-            assert outcome(hfp, a) == want
-    # the star passes, fails on a carrier whose closure holds, fails on one
-    # whose closure does not, or is never reached
-    assert seen == {((True,), tuple), ((False,), tuple), ((False,), str), ((), str)}
+        if isinstance(want, str):
+            case = "the walk raises"
+        elif validate_groupoid(pair_groupoid(want, compose)):
+            case = "the walk returns a broken groupoid"
+        else:
+            case = "the walk returns a groupoid"
+        seen.add(case)
+        if case == "the walk returns a groupoid":
+            assert got == want
+        else:
+            assert isinstance(got, str)
+        if not isinstance(got, str):
+            assert validate_groupoid(hfp(a).groupoid) == []
+    assert seen == {"the walk raises", "the walk returns a broken groupoid",
+                    "the walk returns a groupoid"}
 
 
-def test_the_closure_reads_one_row_per_generator(monkeypatch):
-    # EG(S4) under conjugation has 24 fixed points in one component: the star
-    # is 24 arrows out of the root and 23 back, the walk one row per arrow
+def test_the_closure_reads_one_row_per_generator():
+    # EG(S4) under conjugation has 24 fixed points in one component.  The
+    # arrow scan reads 576 rows, one per arrow between bases, and 24, one per
+    # fixed point; the star is 24 arrows out of the root and 23 back
     a, _ = eg_transposition(4)
     each = a.carrier.compose_each
     rows = []
     a.carrier.compose_each = lambda m1, ms: rows.append(m1) or each(m1, ms)
-
-    def closure_rows(check):
-        scanned = []
-
-        def counted(*args):
-            scanned.append(len(rows))
-            return check(*args)
-
-        monkeypatch.setattr(gamma, "_closed_on_a_star", counted)
-        rows.clear()
-        assert len(hfp(a).underlying) == 576
-        return len(rows) - scanned[0]
-
-    assert closure_rows(gamma._closed_on_a_star) == 47
-    assert closure_rows(lambda *args: False) == 576
+    assert len(hfp(a).underlying) == 576
+    assert len(rows) == 576 + 24 + 47
 
 
-def test_a_composite_dropped_from_a_generator_row_falls_back_to_the_walk(monkeypatch):
+def test_a_composite_dropped_from_a_generator_row_raises():
     # EG(S3) by table under conjugation.  The arrows out of fixed point 0 are
     # generators; one of their rows loses a composite that the arrow scan
-    # never reads, so the star check meets the KeyError and the walk reports
-    # the missing pair
+    # never reads, so the star check meets the KeyError, as the walk does
     a, _ = eg_transposition(3)
     g = a.carrier
     fp = hfp(a)
@@ -443,9 +445,7 @@ def test_a_composite_dropped_from_a_generator_row_falls_back_to_the_walk(monkeyp
     table = dict(g.comp)
     del table[alpha, beta]
     bad = replace(a, carrier=FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, table))
-    taken = record_star(monkeypatch)
     message = (f"no fixed-point arrow or composite over {(alpha, beta)}: "
                "the carrier is not a groupoid")
     assert outcome(pair_hfp, bad, table_pair(table)) == message
     assert outcome(hfp, bad) == message
-    assert taken == [False]
