@@ -378,20 +378,15 @@ def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
     """
     grp = a.group
     nx = a.n_points
-    elem, src, tgt, mor_labels = [], [], [], []
-    for g in grp.elements():
-        for x in range(nx):
-            elem.append(g)
-            src.append(x)
-            tgt.append(a.act(g, x))
-            mor_labels.append(f"{grp.label(g)}.{a.point_label(x)}")
+    elem = [g for g in grp.elements() for _ in range(nx)]
+    src = list(range(nx)) * grp.order
+    tgt = [y for row in a.act_table for y in row]
     id_of = tuple(action_mor(a, grp.identity, x) for x in range(nx))
-    inv = tuple(
-        action_mor(a, grp.inv(g), a.act(g, x))
-        for g in grp.elements() for x in range(nx)
-    )
+    inv = [g_inv * nx + y for g_inv, row in zip(grp.inv_table, a.act_table) for y in row]
+    point_labels = [a.point_label(x) for x in range(nx)]
+    mor_labels = [f"{g}.{p}" for g in map(grp.label, grp.elements()) for p in point_labels]
     # column[g][h] is the id of (hg, 0)
-    column = [tuple(row[g] * nx for row in grp.table) for g in grp.elements()]
+    column = [[hg * nx for hg in col] for col in zip(*grp.table)]
 
     def compose_each(m1, ms):
         col, x = column[elem[m1]], src[m1]
@@ -399,7 +394,7 @@ def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
 
     return FiniteGroupoid(
         nx, src, tgt, id_of, inv, compose_each,
-        obj_labels=tuple(a.point_label(x) for x in range(nx)),
+        obj_labels=point_labels,
         mor_labels=mor_labels,
     )
 

@@ -162,9 +162,18 @@ class HomotopyFixedPoints:
 def hfp(a: GammaAction) -> HomotopyFixedPoints:
     """Compute the homotopy fixed point groupoid of an involution.
 
-    The arrows out of (x, phi) are read off rows of the carrier: phi then
-    bar(alpha) for every alpha out of x, and, once per alpha, alpha then
-    each phi1 over its target.  Composition is a row rule induced from the
+    The arrows are found from two carrier rows per fixed point.  For each
+    (y, phi1), inv(phi1) then every arrow from y to a base: in a groupoid
+    the inverses of these composites are alpha then phi1 for every alpha
+    from a base into y, so each pair (alpha, alpha then phi1) is keyed to the
+    fixed point it lands on.  For each (x, phi), phi then bar(alpha) for
+    every alpha from x to a base; alpha lifts to (y, phi1) exactly when
+    (alpha, phi then bar(alpha)) is keyed to it.  On a carrier that is a
+    groupoid, with any bar, these are exactly the arrows of the fixed point
+    groupoid.  On a carrier that is not, the first rows read other pairs
+    than alpha then phi1; inv(phi1) must still return to y before its row is
+    read, and a key that two fixed points reach raises ``InvariantViolation``
+    when an arrow looks it up.  Composition is a row rule induced from the
     carrier's: the arrow out of (x, phi) over alpha, then the arrows over a
     row of betas, are the arrows out of (x, phi) over the carrier's row of
     alpha then the betas.
@@ -180,9 +189,10 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     for a missing arrow, composite, identity or inverse (the carrier is not
     a groupoid), or for a composite or inverse that lands on the wrong fixed
     point (the carrier is not a groupoid or bar is not a functor).  On a
-    carrier that is not a groupoid the star can pass where a walk over every
-    composable pair would fail, so completeness rests on
-    ``validate_gamma_action``, which every compute command runs first.
+    carrier that is not a groupoid the scan reads other pairs than a scan
+    per arrow would and the star can pass where a walk over every composable
+    pair would fail, so completeness rests on ``validate_gamma_action``,
+    which every compute command runs first.
 
     A bar table of the wrong length or with an entry out of range also
     raises ``InvariantViolation``.  Bar need not be a functor, so each
@@ -190,59 +200,64 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     """
     g = a.carrier
     each, bar_mor = g.compose_each, a.bar_mor
+    g_tgt, g_inv = g.tgt, g.inv
     for name, table, size in (("bar_obj", a.bar_obj, g.n_objects),
                               ("bar_mor", bar_mor, g.n_morphisms)):
         if len(table) != size:
             raise InvariantViolation(f"{name} has {len(table)} entries, expected {size}")
         if table and not 0 <= min(table) <= max(table) < size:
             raise InvariantViolation(f"{name} has an entry out of range")
-    objs: list[HfpObject] = []
-    for x in g.objects():
-        for phi in g.hom(x, a.bar_obj[x]):
-            if bar_mor[phi] == g.inv[phi]:
-                objs.append(HfpObject(x, phi))
+    objs = [HfpObject(x, phi) for x, bar_x in enumerate(a.bar_obj) for phi in g.out_of[x]
+            if g_tgt[phi] == bar_x and bar_mor[phi] == g_inv[phi]]
     obj_index = {(o.base, o.phi): i for i, o in enumerate(objs)}
 
-    fixed_over = {}  # base -> ([j], [phi]) in object order
+    fixed_over = {}  # base -> [(j, phi)] in object order
     for j, o in enumerate(objs):
-        js, phis = fixed_over.setdefault(o.base, ([], []))
-        js.append(j)
-        phis.append(o.phi)
+        fixed_over.setdefault(o.base, []).append((j, o.phi))
     # between[x]: the arrows from x to a base, by target and then id
-    between = {x: [alpha for alpha in sorted(g.out_of[x], key=g.tgt.__getitem__)
-                   if g.tgt[alpha] in fixed_over] for x in fixed_over}
+    between = {x: [alpha for alpha in sorted(g.out_of[x], key=g_tgt.__getitem__)
+                   if g_tgt[alpha] in fixed_over] for x in fixed_over}
     src, tgt, underlying = [], [], []
     lifts = [{} for _ in objs]
     try:
-        # after[alpha]: alpha then each phi1 over its target
-        after = {alpha: each(alpha, fixed_over[g.tgt[alpha]][1])
-                 for alphas in between.values() for alpha in alphas}
+        # land[(alpha, alpha then phi1)] is the fixed point (y, phi1), read off
+        # one row per fixed point: that composite is the inverse of inv(phi1)
+        # then inv(alpha), and inv(alpha) runs over the arrows from y to a base.
+        # twice[key] is the second fixed point a key reaches, if any.
+        land, twice = {}, {}
+        for y, fixed in fixed_over.items():
+            bs = between[y]
+            for j, phi1 in fixed:
+                back = g_inv[phi1]
+                if g_tgt[back] != y:
+                    raise InvariantViolation(f"inv({phi1}) does not return to {y}: "
+                                             "the carrier is not a groupoid")
+                for b, c in zip(bs, each(back, bs)):
+                    key = (g_inv[b], g_inv[c])
+                    if land.setdefault(key, j) != j:
+                        twice.setdefault(key, j)
         for i, o in enumerate(objs):
             alphas = between[o.base]
             bars = [bar_mor[alpha] for alpha in alphas]
-            y = g.tgt[o.phi]
+            y = g_tgt[o.phi]
             for beta in bars:
                 if g.src[beta] != y:
                     raise KeyError((o.phi, beta))
-            twisted = each(o.phi, bars)
-            found = []
-            for alpha, rhs in zip(alphas, twisted):
-                for j, composite in zip(fixed_over[g.tgt[alpha]][0], after[alpha]):
-                    if composite == rhs:
-                        found.append((j, alpha))
-            found.sort()  # arrows are numbered by source, target, underlying
-            for j, alpha in found:
-                if alpha in lifts[i]:
-                    raise InvariantViolation(f"arrow {alpha} out of fixed point {i} "
-                                             "reaches two fixed points: the carrier "
-                                             "is not a groupoid")
+            keys = list(zip(alphas, each(o.phi, bars)))
+            clash = [(twice[key], key[0]) for key in keys if key in twice]
+            if clash:  # as an arrow's second fixed point turns up in (j, alpha) order
+                raise InvariantViolation(f"arrow {min(clash)[1]} out of fixed point {i} "
+                                         "reaches two fixed points: the carrier "
+                                         "is not a groupoid")
+            # arrows are numbered by source, target, underlying
+            for j, alpha in sorted([(land[key], key[0]) for key in keys if key in land]):
                 lifts[i][alpha] = len(src)
                 src.append(i)
                 tgt.append(j)
                 underlying.append(alpha)
         id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
         inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
-        del after, between  # the scan's rows, released before the closure check
+        del land, twice, between  # the scan's tables, released before the closure check
 
         def compose_fp(m1, ms):
             return list(map(lifts[src[m1]].__getitem__,
@@ -250,8 +265,8 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
 
         groupoid = FiniteGroupoid(
             len(objs), src, tgt, id_of, inv, compose_fp,
-            obj_labels=tuple(f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in objs),
-            mor_labels=tuple(g.mor_label(k) for k in underlying),
+            obj_labels=[f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in objs],
+            mor_labels=[g.mor_label(k) for k in underlying],
         )
         for r, star in _stars(groupoid):
             back = [inv[k] for x, k in star.items() if x != r]

@@ -189,14 +189,35 @@ def _perm_label(p: tuple[int, ...]) -> str:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    """All permutations of 0..n-1 in lexicographic order; product p*q applies q first."""
+    """All permutations of 0..n-1 in lexicographic order; product p*q applies q first.
+
+    Only two rows of the table are computed from permutations, those of the
+    transposition (0 1) and of the n-cycle i -> i+1 mod n, which generate
+    the group.  The other rows are filled by a search from the identity:
+    row(p*s)[q] is row(p)[row(s)[q]] by associativity.  The inverse of p is
+    the column where row(p) holds the identity.
+    """
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
+    gens = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
+    gen_rows = {index[s]: [index[tuple(s[i] for i in q)] for q in perms] for s in gens}
+    rows = [None] * len(perms)
+    rows[0] = list(range(len(perms)))  # the identity is the least permutation
+    reached = [0]
+    for p in reached:
+        row_p = rows[p]
+        for s, row_s in gen_rows.items():
+            ps = row_p[s]
+            if rows[ps] is None:
+                rows[ps] = [row_p[q] for q in row_s]
+                reached.append(ps)
+    return FiniteGroup(
+        table=tuple(map(tuple, rows)),
+        identity=0,
+        inv_table=tuple(row.index(0) for row in rows),
+        name=f"S{n}",
+        labels=tuple(_perm_label(p) for p in perms),
     )
-    labels = tuple(_perm_label(p) for p in perms)
-    return _from_table(table, f"S{n}", labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -326,7 +347,10 @@ def quotient_group(g: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, 
 def is_automorphism(g: FiniteGroup, f: Sequence[int]) -> bool:
     if sorted(f) != list(g.elements()):
         return False
-    return all(f[g.mul(a, b)] == g.mul(f[a], f[b]) for a in g.elements() for b in g.elements())
+    # row a of f(a*b) against row f(a) of f(a)*f(b), b running over the group
+    table = g.table
+    return all([f[ab] for ab in row] == [row_fa[fb] for fb in f]
+               for row, row_fa in zip(table, [table[fa] for fa in f]))
 
 
 def is_involutive_automorphism(g: FiniteGroup, f: Sequence[int]) -> bool:

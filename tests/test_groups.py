@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +8,8 @@ from grpd.core import build_action_groupoid, components, validate_groupoid
 from grpd.corpus import S3_TRANSPOSITION, group_catalog, transpose_inverse, v4_swap
 from grpd.groups import (
     GroupAction,
+    _from_table,
+    _perm_label,
     conjugation_automorphism,
     cyclic_group,
     dihedral_group,
@@ -168,3 +173,52 @@ def test_direct_product_order_and_commutativity(n, m):
 def test_trivial_group():
     g = trivial_group()
     assert g.order == 1 and g.identity == 0
+
+
+def entrywise_symmetric_group(n):
+    """The construction ``symmetric_group`` replaced: every entry of the
+    table from a composed permutation, the identity and the inverses
+    searched for by ``_from_table``."""
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(
+        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
+    )
+    return _from_table(table, f"S{n}", tuple(_perm_label(p) for p in perms))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetric_group_rows_match_the_entrywise_table(n):
+    got, want = symmetric_group(n), entrywise_symmetric_group(n)
+    assert (got.table, got.identity, got.inv_table, got.name, got.labels) == (
+        want.table, want.identity, want.inv_table, want.name, want.labels)
+    if n <= 5:  # S6 has 373 248 000 triples
+        assert validate_group(got) == []
+
+
+def entrywise_is_automorphism(g, f):
+    """The check ``is_automorphism`` replaced, one product at a time."""
+    if sorted(f) != list(g.elements()):
+        return False
+    return all(f[g.mul(a, b)] == g.mul(f[a], f[b]) for a in g.elements() for b in g.elements())
+
+
+def test_is_automorphism_agrees_with_the_entrywise_check():
+    # every permutation of the groups of order at most 6, then conjugations,
+    # inversion, random permutations and random maps of D4 and S4
+    rng = random.Random("automorphisms")
+    verdicts = []
+    for g in [*group_catalog().values(), symmetric_group(4)]:
+        n = g.order
+        if n <= 6:
+            maps = list(permutations(range(n)))
+        else:
+            maps = [conjugation_automorphism(g, s) for s in g.elements()]
+            maps += [tuple(rng.sample(range(n), n)) for _ in range(200)]
+        maps += [inversion_automorphism(g), tuple(range(n))[:-1],
+                 *(tuple(rng.randrange(n) for _ in range(n)) for _ in range(20))]
+        for f in maps:
+            want = entrywise_is_automorphism(g, f)
+            assert is_automorphism(g, f) == is_automorphism(g, list(f)) == want
+            verdicts.append(want)
+    assert set(verdicts) == {True, False}

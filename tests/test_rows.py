@@ -421,15 +421,32 @@ def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
 
 
 def test_the_closure_reads_one_row_per_generator():
-    # EG(S4) under conjugation has 24 fixed points in one component.  The
-    # arrow scan reads 576 rows, one per arrow between bases, and 24, one per
-    # fixed point; the star is 24 arrows out of the root and 23 back
-    a, _ = eg_transposition(4)
-    each = a.carrier.compose_each
+    # EG(S_n) under conjugation has n! fixed points in one component, one
+    # over each object.  The arrow scan reads two rows per fixed point, one
+    # keying the arrows into its base and one twisted by bar; the star is n!
+    # arrows out of the root and n! - 1 back
+    for n, fixed_points in ((4, 24), (5, 120)):
+        a, _ = eg_transposition(n)
+        each = a.carrier.compose_each
+        rows = []
+        a.carrier.compose_each = lambda m1, ms: rows.append(m1) or each(m1, ms)
+        assert len(hfp(a).underlying) == fixed_points ** 2
+        assert len(rows) == 2 * fixed_points + 2 * fixed_points - 1
+
+
+def test_an_inverse_that_does_not_return_to_its_base_is_never_composed():
+    # EG(Z2) by its row rule, which skips the endpoint check, with inv(id_0)
+    # redeclared as the arrow 0 -> 1 and bar taking id_0 there too, so that
+    # (0, id_0) is still a fixed point: the scan must not compose that
+    # inverse with the arrows out of 0
+    g = build_action_groupoid(left_multiplication_action(cyclic_group(2)))
+    assert (g.src[2], g.tgt[2], g.inv) == (0, 1, (0, 1, 3, 2))
     rows = []
-    a.carrier.compose_each = lambda m1, ms: rows.append(m1) or each(m1, ms)
-    assert len(hfp(a).underlying) == 576
-    assert len(rows) == 576 + 24 + 47
+    broken = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, (2, 1, 3, 2),
+                            lambda m1, ms: rows.append(m1) or g.compose_each(m1, ms))
+    a = GammaAction(broken, (0, 1), (2, 1, 2, 3))
+    assert outcome(hfp, a) == "inv(0) does not return to 0: the carrier is not a groupoid"
+    assert rows == []
 
 
 def test_a_composite_dropped_from_a_generator_row_raises():
