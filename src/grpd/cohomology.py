@@ -18,9 +18,9 @@ from typing import Sequence
 from .core import (
     FiniteGroupoid,
     GroupoidMap,
+    _stars,
     automorphism_group,
     build_bg,
-    components,
     disjoint_union,
     is_weak_equivalence,
 )
@@ -132,8 +132,7 @@ def skeletonize(g: FiniteGroupoid) -> Skeleton:
     """Present a groupoid, up to weak equivalence, as a disjoint union of
     one-object groupoids: one per isomorphism class, at the least object."""
     parts = []
-    for cls in components(g):
-        rep = cls[0]
+    for rep, _ in _stars(g):
         grp, mors = automorphism_group(g, rep)
         parts.append(SkeletonPart(representative=rep, automorphisms=grp,
                                   morphisms=mors))

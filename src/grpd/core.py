@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
-from .groups import FiniteGroup, GroupAction, is_normal, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
+from .groups import FiniteGroup, GroupAction, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
 from .util import UnionFind, _associativity_report
 
 __all__ = [
@@ -195,7 +195,8 @@ class FiniteGroupoid(FiniteCategory):
         self.mor_labels = None if mor_labels is None else tuple(mor_labels)
 
     def aut(self, x: int) -> tuple[int, ...]:
-        return self.hom(x, x)
+        """The arrows x -> x in increasing order, read off ``out_of[x]``."""
+        return tuple(k for k in self.out_of[x] if self.tgt[k] == x)
 
     def obj_label(self, x: int) -> str:
         if self.obj_labels is not None:
@@ -217,7 +218,8 @@ def _category_report(c: FiniteCategory, inv=None) -> list[str]:
     composites (any of these ends the report), unit laws, the inverse laws of
     an in-range ``inv`` table if one is given, associativity.  Pairs are
     walked through the arrows out of each object; associativity is decided
-    from a generating set, walking every triple only if a generator fails."""
+    from a generating set on rows of ``compose_each``, a table lookup once
+    ``comp`` is read, walking every triple only if a generator fails."""
     n, m = c.n_objects, c.n_morphisms
     src, tgt, id_of = c.src, c.tgt, c.id_of
     if len(tgt) != m or len(id_of) != n:
@@ -260,7 +262,7 @@ def _category_report(c: FiniteCategory, inv=None) -> list[str]:
                 report.append(f"inverse: {k} then inv({k}) is not the identity")
             if comp[(inv[k], k)] != id_of[tgt[k]]:
                 report.append(f"inverse: inv({k}) then {k} is not the identity")
-    return report + _associativity_report(src, tgt, out_of, comp)
+    return report + _associativity_report(src, tgt, out_of, c.compose_each)
 
 
 def _label_report(g: FiniteGroupoid) -> list[str]:
@@ -488,11 +490,11 @@ def quotient_comparison(a: GroupAction, normal: Sequence[int]) -> QuotientCompar
     nset = tuple(sorted(set(normal)))
     if not is_subgroup(grp, nset):
         raise NotNormalError(f"{nset} is not a subgroup", witness=nset)
-    if not is_normal(grp, nset):
-        bad = next(
-            (x, n) for x in grp.elements() for n in nset
-            if grp.mul(grp.mul(x, n), grp.inv(x)) not in set(nset)
-        )
+    members, table = set(nset), grp.table
+    # the first (x, n) with x n x^-1 outside N, in one scan
+    bad = next(((x, n) for x, row in enumerate(table) for n in nset
+                if table[row[n]][grp.inv_table[x]] not in members), None)
+    if bad is not None:
         raise NotNormalError(f"conjugate of {bad[1]} by {bad[0]} leaves the subgroup",
                              witness=bad)
     point_classes = UnionFind(a.n_points)  # joins each point to its translates by N

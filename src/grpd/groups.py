@@ -72,8 +72,10 @@ class FiniteGroup:
 
 def validate_group(g: FiniteGroup) -> list[str]:
     """A label table too short to name every element, then the group axioms,
-    as a report; empty means valid.  Associativity is decided as for a
-    category with one object (``util._associativity_report``)."""
+    as a report; empty means valid.  A table or ``inv_table`` of the wrong
+    shape or with an entry out of range ends the report.  Associativity is
+    decided as for a category with one object, by Light's test on rows of
+    ``table`` (``util._associativity_report``); no pair table is built."""
     n = g.order
     report = []
     if g.labels is not None and len(g.labels) < n:
@@ -81,14 +83,17 @@ def validate_group(g: FiniteGroup) -> list[str]:
     if len(g.inv_table) != n:
         report.append(f"shape: inv table has length {len(g.inv_table)}, expected {n}")
         return report
-    for a in range(n):
-        if len(g.table[a]) != n:
-            report.append(f"shape: row {a} has length {len(g.table[a])}")
+    if any(not 0 <= k < n for k in g.inv_table):
+        report.append("shape: inv entry out of range")
+        return report
+    for a, row in enumerate(g.table):
+        if len(row) != n:
+            report.append(f"shape: row {a} has length {len(row)}")
             return report
-        for b in range(n):
-            if not 0 <= g.table[a][b] < n:
-                report.append(f"shape: entry ({a},{b}) out of range")
-                return report
+        if not 0 <= min(row) <= max(row) < n:
+            b = next(b for b, c in enumerate(row) if not 0 <= c < n)
+            report.append(f"shape: entry ({a},{b}) out of range")
+            return report
     if not 0 <= g.identity < n:
         report.append("shape: identity out of range")
         return report
@@ -98,9 +103,13 @@ def validate_group(g: FiniteGroup) -> list[str]:
     for a in range(n):
         if g.mul(a, g.inv(a)) != g.identity or g.mul(g.inv(a), a) != g.identity:
             report.append(f"inverse: inv({a}) is not a two-sided inverse")
-    # associativity as that of a category with one object
-    comp = {(a, b): c for a, row in enumerate(g.table) for b, c in enumerate(row)}
-    return report + _associativity_report((0,) * n, (0,) * n, [range(n)], comp)
+    rows = g.table
+
+    def each(a, bs):
+        row = rows[a]
+        return [row[b] for b in bs]
+
+    return report + _associativity_report((0,) * n, (0,) * n, [range(n)], each)
 
 
 def _from_table(table, name, labels=None) -> FiniteGroup:
@@ -108,21 +117,17 @@ def _from_table(table, name, labels=None) -> FiniteGroup:
     for a, row in enumerate(table):
         if len(row) < n:
             raise ValueError(f"row {a} has length {len(row)}, expected {n}")
-    identity = None
-    for e in range(n):
-        if all(table[e][a] == a for a in range(n)) and all(table[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
+    units = [e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n))]
+    if not units:
         raise ValueError("table has no identity element")
-    inv = []
-    for a in range(n):
-        hits = [b for b in range(n) if table[a][b] == identity and table[b][a] == identity]
+    identity, inv = units[0], []
+    for a, row in enumerate(table):
+        hits = [b for b in range(n) if row[b] == identity == table[b][a]]
         if len(hits) != 1:
             raise ValueError(f"element {a} has no unique inverse")
         inv.append(hits[0])
     return FiniteGroup(
-        table=tuple(tuple(row) for row in table),
+        table=tuple(map(tuple, table)),
         identity=identity,
         inv_table=tuple(inv),
         name=name,
@@ -221,24 +226,17 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Product group; element (x, y) is encoded as x * b.order + y."""
+    """Product group; element (x, y) is encoded as x * b.order + y, and its
+    row is built from row x of ``a`` and row y of ``b``."""
     nb = b.order
-    table = []
-    for x1 in a.elements():
-        for y1 in b.elements():
-            row = []
-            for x2 in a.elements():
-                for y2 in b.elements():
-                    row.append(a.mul(x1, x2) * nb + b.mul(y1, y2))
-            table.append(tuple(row))
-    identity = a.identity * nb + b.identity
-    inv = tuple(a.inv(x) * nb + b.inv(y) for x in a.elements() for y in b.elements())
-    labels = tuple(
-        f"({a.label(x)},{b.label(y)})" for x in a.elements() for y in b.elements()
-    )
+    table = tuple(tuple(x * nb + y for x in row_a for y in row_b)
+                  for row_a in a.table for row_b in b.table)
+    inv = tuple(x * nb + y for x in a.inv_table for y in b.inv_table)
+    labels = tuple(f"({a.label(x)},{b.label(y)})"
+                   for x in a.elements() for y in b.elements())
     return FiniteGroup(
-        table=tuple(table),
-        identity=identity,
+        table=table,
+        identity=a.identity * nb + b.identity,
         inv_table=inv,
         name=f"{a.name}x{b.name}",
         labels=labels,
@@ -288,60 +286,59 @@ def is_normal(g: FiniteGroup, subset: Sequence[int]) -> bool:
     return all(g.mul(g.mul(x, n), g.inv(x)) in s for x in g.elements() for n in s)
 
 
+def _on_classes(g: FiniteGroup, reps: Sequence[int], class_of, name: str,
+                labels: tuple[str, ...]) -> FiniteGroup:
+    """The group on ``reps`` whose element i is ``reps[i]``, read from the
+    rows of ``g`` through ``class_of``, a map from elements of ``g`` to local
+    ids: row i is ``class_of`` of row ``reps[i]`` at the columns ``reps``.
+    ``class_of`` raises ``KeyError`` on an element it does not cover."""
+    return FiniteGroup(
+        table=tuple(tuple([class_of[row[b]] for b in reps])
+                    for row in (g.table[a] for a in reps)),
+        identity=class_of[g.identity],
+        inv_table=tuple(class_of[g.inv_table[a]] for a in reps),
+        name=name,
+        labels=labels,
+    )
+
+
 def induced_subgroup(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Subgroup on the given elements with the induced table.
 
     Returns the new group together with the embedding: local element i sits at
-    ``embedding[i]`` in ``g``.  The elements must already form a subgroup.
+    ``embedding[i]`` in ``g``.  The rows of ``g`` are read through the index
+    of the embedding, and that read is the closure check: an identity,
+    product or inverse outside the elements raises ``ValueError``.
     """
     emb = tuple(sorted(set(elements)))
-    if not is_subgroup(g, emb):
-        raise ValueError(f"{emb} is not a subgroup of {g.name}")
     index = {a: i for i, a in enumerate(emb)}
-    table = tuple(tuple(index[g.mul(a, b)] for b in emb) for a in emb)
-    labels = tuple(g.label(a) for a in emb)
-    sub = FiniteGroup(
-        table=table,
-        identity=index[g.identity],
-        inv_table=tuple(index[g.inv(a)] for a in emb),
-        name=f"{g.name}<{len(emb)}>",
-        labels=labels,
-    )
-    return sub, emb
+    try:
+        return _on_classes(g, emb, index, f"{g.name}<{len(emb)}>",
+                           tuple(g.label(a) for a in emb)), emb
+    except KeyError:
+        raise ValueError(f"{emb} is not a subgroup of {g.name}") from None
 
 
 def quotient_group(g: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup; cosets are represented by their least element.
 
-    Returns the quotient and the projection table element -> coset id.
+    Returns the quotient and the projection table element -> coset id.  The
+    rows of ``g`` are read through the projection.
     """
-    n = set(normal)
-    if not is_subgroup(g, tuple(n)):
+    n = tuple(set(normal))
+    if not is_subgroup(g, n):
         raise ValueError("cannot quotient by a non-subgroup")
-    if not is_normal(g, tuple(n)):
+    if not is_normal(g, n):
         raise ValueError("cannot quotient by a non-normal subgroup")
-    cosets = {}
+    # the least element not yet in a coset is the least of its own coset
+    proj, reps = [None] * g.order, []
     for a in g.elements():
-        rep = min(g.mul(x, a) for x in n)
-        cosets.setdefault(rep, []).append(a)
-    reps = sorted(cosets)
-    coset_id = {rep: i for i, rep in enumerate(reps)}
-    proj = [0] * g.order
-    for rep, members in cosets.items():
-        for a in members:
-            proj[a] = coset_id[rep]
-    table = tuple(
-        tuple(proj[g.mul(a, b)] for b in reps) for a in reps
-    )
-    labels = tuple(f"[{g.label(rep)}]" for rep in reps)
-    q = FiniteGroup(
-        table=table,
-        identity=proj[g.identity],
-        inv_table=tuple(proj[g.inv(rep)] for rep in reps),
-        name=f"{g.name}/N",
-        labels=labels,
-    )
-    return q, tuple(proj)
+        if proj[a] is None:
+            for x in n:
+                proj[g.mul(x, a)] = len(reps)
+            reps.append(a)
+    return _on_classes(g, reps, proj, f"{g.name}/N",
+                       tuple(f"[{g.label(rep)}]" for rep in reps)), tuple(proj)
 
 
 def is_automorphism(g: FiniteGroup, f: Sequence[int]) -> bool:

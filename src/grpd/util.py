@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 __all__ = ["UnionFind"]
 
 
 def _associativity_report(src: Sequence[int], tgt: Sequence[int],
                           out_of: Sequence[Sequence[int]],
-                          comp: Mapping[tuple[int, int], int]) -> list[str]:
+                          each: Callable[[int, Sequence[int]], list]) -> list[str]:
     """``associativity: (a,b,c)`` for every composable triple with
-    ``comp[comp[a, b], c] != comp[a, comp[b, c]]``, in the order of a walk
-    over a, then b out of its target, then c.  ``out_of[x]`` lists the arrows
-    with source x in increasing order, and ``comp`` must hold every composable
-    pair with a composite of the right endpoints.
+    (a.b).c != a.(b.c), in the order of a walk over a, then b out of its
+    target, then c.  ``out_of[x]`` lists the arrows with source x in
+    increasing order, and ``each(m1, ms)``, a row reader like
+    ``FiniteCategory.compose_each``, returns the composites of m1 with each
+    arrow of ``ms``, all leaving ``tgt[m1]``, with the right endpoints.
 
     Decided by Light's test (Clifford and Preston, *The Algebraic Theory of
     Semigroups*, Vol. 1, 1961): the arrows b with (a.b).c == a.(b.c) for all
     composable a and c are closed under composition, so it suffices to check
-    a generating set.  Generators are picked greedily in arrow order: each
-    arrow not yet reached by right-composing reached arrows with generators
-    becomes one.  Only if a generator fails is every triple walked.
+    a generating set, two rows per left factor a.  Generators are picked
+    greedily in arrow order: each arrow not yet reached by right-composing
+    reached arrows with generators becomes one.  Only if a generator fails is
+    every triple walked, a row of c at a time.
     """
-    get = comp.__getitem__
     m = len(src)
     into = [[] for _ in out_of]
     for k, y in enumerate(tgt):
@@ -37,33 +37,33 @@ def _associativity_report(src: Sequence[int], tgt: Sequence[int],
             continue
         gens.append(k)
         gens_out[src[k]].append(k)
-        todo = list(map(get, zip(reached_into[src[k]], repeat(k))))
+        todo = [each(r, (k,))[0] for r in reached_into[src[k]]]
         todo.append(k)
         while todo:
             r = todo.pop()
             if not reached[r]:
                 reached[r] = 1
                 reached_into[tgt[r]].append(r)
-                todo.extend(map(get, zip(repeat(r), gens_out[tgt[r]])))
-    if all(_is_good(b, into[src[b]], out_of[tgt[b]], get) for b in gens):
+                todo.extend(each(r, gens_out[tgt[r]]))
+    if all(_is_good(b, into[src[b]], out_of[tgt[b]], each) for b in gens):
         return []
     report = []
     for a in range(m):
-        for b in out_of[tgt[a]]:
-            ab = comp[a, b]
-            for c in out_of[tgt[b]]:
-                if comp[ab, c] != comp[a, comp[b, c]]:
+        bs = out_of[tgt[a]]
+        for b, ab in zip(bs, each(a, bs)):
+            cs = out_of[tgt[b]]
+            for c, left, right in zip(cs, each(ab, cs), each(a, each(b, cs))):
+                if left != right:
                     report.append(f"associativity: ({a},{b},{c})")
     return report
 
 
-def _is_good(b: int, before: Sequence[int], after: Sequence[int], get) -> bool:
+def _is_good(b: int, before: Sequence[int], after: Sequence[int], each) -> bool:
     """Whether (a.b).c == a.(b.c) for every a in ``before`` and c in
-    ``after``, ``get`` looking up the composite of a pair."""
-    bc = list(map(get, zip(repeat(b), after)))
-    return all(
-        list(map(get, zip(repeat(get((a, b))), after))) == list(map(get, zip(repeat(a), bc)))
-        for a in before)
+    ``after``: one row of a gives a.b and every a.(b.c), one row of a.b every
+    (a.b).c."""
+    b_bc = [b, *each(b, after)]
+    return all(each(row[0], after) == row[1:] for row in (each(a, b_bc) for a in before))
 
 
 class UnionFind:

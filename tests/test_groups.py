@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from grpd.core import build_action_groupoid, components, validate_groupoid
 from grpd.corpus import S3_TRANSPOSITION, group_catalog, transpose_inverse, v4_swap
 from grpd.groups import (
+    FiniteGroup,
     GroupAction,
     _from_table,
     _perm_label,
@@ -49,6 +50,17 @@ def test_validate_group_catches_broken_associativity():
     broken = type(g)(table=tuple(tuple(r) for r in table),
                      identity=g.identity, inv_table=g.inv_table)
     assert validate_group(broken) != []
+
+
+@pytest.mark.parametrize("table, inv_table, line", [
+    (((0, 1), (1, 0)), (0, 5), "shape: inv entry out of range"),
+    (((0, 1), (1, 0)), (0, -1), "shape: inv entry out of range"),
+    (((0, 1), (1, 2)), (0, 1), "shape: entry (1,1) out of range"),
+    (((0, 1), (-1, 0)), (0, 1), "shape: entry (1,0) out of range"),
+    (((0, 1), (1,)), (0, 1), "shape: row 1 has length 1"),
+])
+def test_validate_group_reports_a_table_out_of_shape(table, inv_table, line):
+    assert validate_group(FiniteGroup(table, 0, inv_table)) == [line]
 
 
 def test_s3_transposition_is_where_the_corpus_says():
@@ -192,8 +204,7 @@ def test_symmetric_group_rows_match_the_entrywise_table(n):
     got, want = symmetric_group(n), entrywise_symmetric_group(n)
     assert (got.table, got.identity, got.inv_table, got.name, got.labels) == (
         want.table, want.identity, want.inv_table, want.name, want.labels)
-    if n <= 5:  # S6 has 373 248 000 triples
-        assert validate_group(got) == []
+    assert validate_group(got) == []
 
 
 def entrywise_is_automorphism(g, f):
@@ -222,3 +233,95 @@ def test_is_automorphism_agrees_with_the_entrywise_check():
             assert is_automorphism(g, f) == is_automorphism(g, list(f)) == want
             verdicts.append(want)
     assert set(verdicts) == {True, False}
+
+
+def entrywise_induced_subgroup(g, elements):
+    """The construction ``induced_subgroup`` replaced: ``is_subgroup`` first,
+    then one product at a time through the index of the embedding."""
+    emb = tuple(sorted(set(elements)))
+    if not is_subgroup(g, emb):
+        raise ValueError(f"{emb} is not a subgroup of {g.name}")
+    index = {a: i for i, a in enumerate(emb)}
+    sub = FiniteGroup(
+        table=tuple(tuple(index[g.mul(a, b)] for b in emb) for a in emb),
+        identity=index[g.identity],
+        inv_table=tuple(index[g.inv(a)] for a in emb),
+        name=f"{g.name}<{len(emb)}>",
+        labels=tuple(g.label(a) for a in emb),
+    )
+    return sub, emb
+
+
+def entrywise_quotient_group(g, normal):
+    """The construction ``quotient_group`` replaced: cosets keyed by their
+    least element, then one product at a time through the projection."""
+    n = set(normal)
+    if not is_subgroup(g, tuple(n)):
+        raise ValueError("cannot quotient by a non-subgroup")
+    if not is_normal(g, tuple(n)):
+        raise ValueError("cannot quotient by a non-normal subgroup")
+    cosets = {}
+    for a in g.elements():
+        cosets.setdefault(min(g.mul(x, a) for x in n), []).append(a)
+    reps = sorted(cosets)
+    proj = [0] * g.order
+    for i, rep in enumerate(reps):
+        for a in cosets[rep]:
+            proj[a] = i
+    q = FiniteGroup(
+        table=tuple(tuple(proj[g.mul(a, b)] for b in reps) for a in reps),
+        identity=proj[g.identity],
+        inv_table=tuple(proj[g.inv(rep)] for rep in reps),
+        name=f"{g.name}/N",
+        labels=tuple(f"[{g.label(rep)}]" for rep in reps),
+    )
+    return q, tuple(proj)
+
+
+def outcome(construct, g, subset):
+    """The group and map ``construct`` gives, every field compared, or the
+    message of the ``ValueError`` it raises."""
+    try:
+        h, m = construct(g, subset)
+    except ValueError as e:
+        return str(e)
+    return h.table, h.identity, h.inv_table, h.name, h.labels, m
+
+
+def test_subgroups_and_quotients_match_the_entrywise_constructions():
+    # every subset of every catalog group, the empty one included
+    counts = {"subgroups": 0, "normal": 0}
+    for g in group_catalog().values():
+        for k in range(g.order + 1):
+            for subset in combinations(g.elements(), k):
+                want = outcome(entrywise_induced_subgroup, g, subset)
+                assert outcome(induced_subgroup, g, subset[::-1]) == want
+                counts["subgroups"] += not isinstance(want, str)
+                want = outcome(entrywise_quotient_group, g, subset)
+                assert outcome(quotient_group, g, subset) == want
+                counts["normal"] += not isinstance(want, str)
+    assert counts == {"subgroups": 39, "normal": 29}
+
+
+def entrywise_direct_product(a, b):
+    """The construction ``direct_product`` replaced, one pair of products
+    per entry."""
+    nb = b.order
+    return FiniteGroup(
+        table=tuple(tuple(a.mul(x1, x2) * nb + b.mul(y1, y2)
+                          for x2 in a.elements() for y2 in b.elements())
+                    for x1 in a.elements() for y1 in b.elements()),
+        identity=a.identity * nb + b.identity,
+        inv_table=tuple(a.inv(x) * nb + b.inv(y) for x in a.elements() for y in b.elements()),
+        name=f"{a.name}x{b.name}",
+        labels=tuple(f"({a.label(x)},{b.label(y)})" for x in a.elements() for y in b.elements()),
+    )
+
+
+def test_direct_product_rows_match_the_entrywise_table():
+    cat = list(group_catalog().values())
+    for a in cat:
+        for b in cat:
+            got, want = direct_product(a, b), entrywise_direct_product(a, b)
+            assert (got.table, got.identity, got.inv_table, got.name, got.labels) == (
+                want.table, want.identity, want.inv_table, want.name, want.labels)
