@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
-from .groups import FiniteGroup, GroupAction, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
+from .groups import FiniteGroup, GroupAction, _two_sided, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
 from .util import UnionFind, _associativity_report
 
 __all__ = [
@@ -490,10 +490,11 @@ def quotient_comparison(a: GroupAction, normal: Sequence[int]) -> QuotientCompar
     nset = tuple(sorted(set(normal)))
     if not is_subgroup(grp, nset):
         raise NotNormalError(f"{nset} is not a subgroup", witness=nset)
-    members, table = set(nset), grp.table
+    members = set(nset)
     # the first (x, n) with x n x^-1 outside N, in one scan
-    bad = next(((x, n) for x, row in enumerate(table) for n in nset
-                if table[row[n]][grp.inv_table[x]] not in members), None)
+    rows = (_two_sided(grp, x, x) for x in grp.elements())
+    bad = next(((x, n) for x, row in enumerate(rows) for n in nset
+                if row[n] not in members), None)
     if bad is not None:
         raise NotNormalError(f"conjugate of {bad[1]} by {bad[0]} leaves the subgroup",
                              witness=bad)

@@ -283,7 +283,16 @@ def is_subgroup(g: FiniteGroup, subset: Sequence[int]) -> bool:
 
 def is_normal(g: FiniteGroup, subset: Sequence[int]) -> bool:
     s = set(subset)
-    return all(g.mul(g.mul(x, n), g.inv(x)) in s for x in g.elements() for n in s)
+    rows = (_two_sided(g, x, x) for x in g.elements())  # row x reads x n x^-1 at n
+    return all(row[n] in s for row in rows for n in s)
+
+
+def _two_sided(g: FiniteGroup, left: int, right: int) -> tuple[int, ...]:
+    """The row x -> left x right^-1 over the elements of ``g``: row ``left``
+    of the table, each entry then read at the column of right^-1.  Twisted
+    conjugation, the double coset action and conjugation are all such rows."""
+    table, col = g.table, g.inv_table[right]
+    return tuple([table[y][col] for y in table[left]])
 
 
 def _on_classes(g: FiniteGroup, reps: Sequence[int], class_of, name: str,
@@ -365,8 +374,7 @@ def inversion_automorphism(g: FiniteGroup) -> tuple[int, ...]:
 
 def conjugation_automorphism(g: FiniteGroup, s: int) -> tuple[int, ...]:
     """x -> s x s^-1; involutive when s^2 is central, e.g. s an involution."""
-    si = g.inv(s)
-    return tuple(g.mul(g.mul(s, x), si) for x in g.elements())
+    return _two_sided(g, s, s)
 
 
 @dataclass(frozen=True)

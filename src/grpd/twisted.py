@@ -36,6 +36,7 @@ from .gamma import GammaAction, HomotopyFixedPoints, hfp
 from .groups import (
     FiniteGroup,
     GroupAction,
+    _two_sided,
     direct_product,
     induced_subgroup,
     is_involutive_automorphism,
@@ -74,11 +75,12 @@ def validate_involutive_data(d: InvolutiveGroupData) -> list[str]:
         return report
     if not is_involutive_automorphism(g, d.theta):
         report.append("involution: theta is not an involutive automorphism")
-    if any(not 0 <= b < g.order for b in d.b_elements):
+    bset = set(d.b_elements)
+    if any(not 0 <= b < g.order for b in bset):
         report.append("shape: B element out of range")
     elif not is_subgroup(g, d.b_elements):
         report.append("subgroup: B is not a subgroup")
-    elif any(d.theta[b] not in set(d.b_elements) for b in d.b_elements):
+    elif any(d.theta[b] not in bset for b in bset):
         report.append("stability: theta does not preserve B")
     return report
 
@@ -92,15 +94,17 @@ class _DoubleCoset:
     gamma: GammaAction
 
 
+def _pairs(d: InvolutiveGroupData) -> tuple[FiniteGroup, tuple[int, ...], FiniteGroup]:
+    """B with its embedding into G, and B x B, whose element (i, j) is i |B| + j."""
+    bgrp, emb = induced_subgroup(d.group, d.b_elements)
+    return bgrp, emb, direct_product(bgrp, bgrp)
+
+
 def _double_coset(d: InvolutiveGroupData) -> _DoubleCoset:
     g = d.group
-    bgrp, emb = induced_subgroup(g, d.b_elements)
+    bgrp, emb, pair_group = _pairs(d)
     nb = bgrp.order
-    pair_group = direct_product(bgrp, bgrp)
-    act_table = tuple(
-        tuple(g.mul(g.mul(emb[i], x), g.inv(emb[j])) for x in g.elements())
-        for i in range(nb) for j in range(nb)
-    )
+    act_table = tuple(_two_sided(g, b1, b2) for b1 in emb for b2 in emb)
     action = GroupAction(
         group=pair_group,
         n_points=g.order,
@@ -110,14 +114,10 @@ def _double_coset(d: InvolutiveGroupData) -> _DoubleCoset:
     carrier = build_action_groupoid(action)
     b_index = {emb[i]: i for i in range(nb)}
     theta_local = tuple(b_index[d.theta[emb[i]]] for i in range(nb))
-    bar_obj = tuple(d.theta[g.inv(x)] for x in g.elements())
-    bar_mor = []
-    for p in pair_group.elements():
-        i, j = divmod(p, nb)
-        bar_pair = theta_local[j] * nb + theta_local[i]
-        for x in g.elements():
-            bar_mor.append(action_mor(action, bar_pair, bar_obj[x]))
-    gamma = GammaAction(carrier, bar_obj, tuple(bar_mor))
+    bar_obj = tuple(d.theta[x] for x in g.inv_table)
+    bar_mor = tuple(action_mor(action, tj * nb + ti, y)
+                    for ti in theta_local for tj in theta_local for y in bar_obj)
+    gamma = GammaAction(carrier, bar_obj, bar_mor)
     return _DoubleCoset(b_group=bgrp, b_embedding=emb, pair_group=pair_group,
                         action=action, gamma=gamma)
 
@@ -138,24 +138,27 @@ class TwistedCocycleSet:
 
 
 def z1_theta(d: InvolutiveGroupData) -> TwistedCocycleSet:
+    """The cocycles Z and the twisted conjugation b . s = theta(b) s b^-1 of B
+    on them.  The action row of b is the two-sided row of (theta(b), b) read
+    through the index of Z; a conjugate outside Z means theta is not an
+    automorphism and raises ``InvariantViolation``."""
     g = d.group
-    elements = tuple(x for x in g.elements() if g.mul(x, d.theta[x]) == g.identity)
+    elements = tuple(x for x, row in enumerate(g.table) if row[d.theta[x]] == g.identity)
     index = {x: i for i, x in enumerate(elements)}
     if set(d.b_elements) == set(g.elements()):
         bgrp, emb = g, tuple(g.elements())  # B = G: no subgroup to check or copy
     else:
         bgrp, emb = induced_subgroup(g, d.b_elements)
     act_rows = []
-    for i in range(bgrp.order):
-        b = emb[i]
-        row = []
-        for x in elements:
-            y = g.mul(g.mul(d.theta[b], x), g.inv(b))
-            if y not in index:
-                raise InvariantViolation(
-                    f"twisted conjugate {y} of cocycle {x} is not a cocycle")
-            row.append(index[y])
-        act_rows.append(tuple(row))
+    for b in emb:
+        conj = _two_sided(g, d.theta[b], b)
+        row = [conj[x] for x in elements]
+        try:
+            act_rows.append(tuple([index[y] for y in row]))
+        except KeyError as e:
+            y = e.args[0]
+            raise InvariantViolation(f"twisted conjugate {y} of cocycle "
+                                     f"{elements[row.index(y)]} is not a cocycle") from None
     action = GroupAction(
         group=bgrp,
         n_points=len(elements),
@@ -215,26 +218,20 @@ def xy_isomorphism(d: InvolutiveGroupData) -> XYCorrespondence:
     """Enumerate X and Y, the mutually inverse maps (b1,b2,g) -> (b1,g) and
     (b,g) -> (b, theta(b^-1), g), and the B x B actions; everything is
     verified, a failure meaning a bug rather than bad input.
+
+    X is read from one two-sided row per (b1, b2) with b1 theta(b2) = e, Y
+    from row b of the table; the pair (beta1, beta2) acts through the rows of
+    (theta(beta2), beta1), (theta(beta1), beta2) and (beta1, beta2).
     """
     g = d.group
     theta = d.theta
     bset = tuple(sorted(set(d.b_elements)))
-    xs = []
-    for b1 in bset:
-        for b2 in bset:
-            if g.mul(b1, theta[b2]) != g.identity:
-                continue
-            for x in g.elements():
-                if g.mul(g.mul(b1, x), g.inv(b2)) == theta[g.inv(x)]:
-                    xs.append((b1, b2, x))
-    ys = []
-    for b in bset:
-        for x in g.elements():
-            z = g.mul(b, x)
-            if g.mul(z, theta[z]) == g.identity:
-                ys.append((b, x))
-    xs = tuple(sorted(xs))
-    ys = tuple(sorted(ys))
+    bar_obj = tuple(theta[x] for x in g.inv_table)
+    xs = tuple((b1, b2, x) for b1 in bset for b2 in bset
+               if g.table[b1][theta[b2]] == g.identity
+               for x, y in enumerate(_two_sided(g, b1, b2)) if y == bar_obj[x])
+    cocycles = {x for x, row in enumerate(g.table) if row[theta[x]] == g.identity}
+    ys = tuple((b, x) for b in bset for x, z in enumerate(g.table[b]) if z in cocycles)
     x_index = {t: i for i, t in enumerate(xs)}
     y_index = {t: i for i, t in enumerate(ys)}
 
@@ -257,35 +254,15 @@ def xy_isomorphism(d: InvolutiveGroupData) -> XYCorrespondence:
         if forward[backward[i]] != i:
             raise InvariantViolation("backward then forward is not the identity on Y")
 
-    bgrp, emb = induced_subgroup(g, bset)
-    nb = bgrp.order
-    pair_group = direct_product(bgrp, bgrp)
-
+    _, emb, pair_group = _pairs(d)
     x_rows, y_rows = [], []
-    for p in pair_group.elements():
-        i, j = divmod(p, nb)
-        beta1, beta2 = emb[i], emb[j]
-        xrow = []
-        for (b1, b2, x) in xs:
-            t = (
-                g.mul(g.mul(theta[beta2], b1), g.inv(beta1)),
-                g.mul(g.mul(theta[beta1], b2), g.inv(beta2)),
-                g.mul(g.mul(beta1, x), g.inv(beta2)),
-            )
-            if t not in x_index:
-                raise InvariantViolation(f"X is not closed under the action at {t}")
-            xrow.append(x_index[t])
-        x_rows.append(tuple(xrow))
-        yrow = []
-        for (b, x) in ys:
-            t = (
-                g.mul(g.mul(theta[beta2], b), g.inv(beta1)),
-                g.mul(g.mul(beta1, x), g.inv(beta2)),
-            )
-            if t not in y_index:
-                raise InvariantViolation(f"Y is not closed under the action at {t}")
-            yrow.append(y_index[t])
-        y_rows.append(tuple(yrow))
+    for beta1 in emb:
+        for beta2 in emb:
+            r1 = _two_sided(g, theta[beta2], beta1)
+            r2 = _two_sided(g, theta[beta1], beta2)
+            r3 = _two_sided(g, beta1, beta2)
+            x_rows.append(_action_row(x_index, [(r1[b1], r2[b2], r3[x]) for b1, b2, x in xs], "X"))
+            y_rows.append(_action_row(y_index, [(r1[b], r3[x]) for b, x in ys], "Y"))
 
     x_action = GroupAction(pair_group, len(xs), tuple(x_rows))
     y_action = GroupAction(pair_group, len(ys), tuple(y_rows))
@@ -296,6 +273,16 @@ def xy_isomorphism(d: InvolutiveGroupData) -> XYCorrespondence:
     return XYCorrespondence(x_elements=xs, y_elements=ys, forward=tuple(forward),
                             backward=tuple(backward), x_action=x_action,
                             y_action=y_action)
+
+
+def _action_row(index: dict, keys: list, name: str) -> tuple[int, ...]:
+    """The index of each key; the first key missing means ``name`` is not
+    closed under the action."""
+    try:
+        return tuple([index[t] for t in keys])
+    except KeyError as e:
+        raise InvariantViolation(
+            f"{name} is not closed under the action at {e.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -336,11 +323,11 @@ def parameter_fibration(d: InvolutiveGroupData) -> ParameterFibration:
     for j in range(nb):
         if j == dc.b_group.identity:
             continue
-        p = dc.b_group.identity * nb + j
-        for yi in range(len(corr.y_elements)):
-            if corr.y_action.act(p, yi) == yi:
-                raise InvariantViolation(
-                    f"subgroup element {emb[j]} fixes the pair {corr.y_elements[yi]}")
+        row = corr.y_action.act_table[dc.b_group.identity * nb + j]  # the pair (e, b_j)
+        yi = next((yi for yi, y in enumerate(row) if y == yi), None)
+        if yi is not None:
+            raise InvariantViolation(
+                f"subgroup element {emb[j]} fixes the pair {corr.y_elements[yi]}")
 
     obj_map = []
     for o in fp.objects:
@@ -348,8 +335,7 @@ def parameter_fibration(d: InvolutiveGroupData) -> ParameterFibration:
         if base != o.base:
             raise InvariantViolation(f"fixed point at {o.base} has phi starting at {base}")
         i, _ = divmod(pair, nb)
-        z = g.mul(emb[i], o.base)
-        obj_map.append(z_index[z])
+        obj_map.append(z_index[g.table[emb[i]][o.base]])
     mor_map = []
     fpg = fp.groupoid
     for m in fpg.morphisms():

@@ -462,10 +462,14 @@ def test_quotient_comparison_matches_the_orbit_reference():
 
 
 def test_quotient_comparison_rejects_non_normal():
-    a = left_multiplication_action(symmetric_group(3))
+    g = symmetric_group(3)
+    a = left_multiplication_action(g)
     with pytest.raises(NotNormalError) as exc:
         quotient_comparison(a, (0, 2))
-    assert exc.value.witness is not None
+    # the first (x, n) in order whose conjugate x n x^-1 leaves the subgroup
+    assert exc.value.witness == next(
+        (x, n) for x in g.elements() for n in (0, 2)
+        if g.mul(g.mul(x, n), g.inv(x)) not in (0, 2))
 
 
 def test_quotient_comparison_rejects_non_subgroup():
