@@ -4,12 +4,17 @@ Every document carries ``"schema": 1`` and a ``"kind"``.  Loaders check the
 document shape only; axioms are left to the validators so that a broken
 structure can still be loaded and reported on.  Dumps are deterministic:
 composition tables and order relations are sorted and ``dumps`` emits sorted
-keys.
+keys.  The text of ``dumps``, and of every ``--json`` result, is byte for
+byte what ``json.dumps`` writes with ``indent=2, sort_keys=True``, plus a
+newline; a rule-backed structure is dumped a row at a time and never
+tabulated.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .cohomology import GroupGammaAction
@@ -47,9 +52,21 @@ def _require(doc: Any, kind: str) -> dict:
     return doc
 
 
+def _ints(values) -> bool:
+    return all(map(isinstance, values, repeat(int)))
+
+
+def _int_rows(val: Any, width: int | None = None) -> bool:
+    """Whether ``val`` is a list of integer lists, each ``width`` long if
+    ``width`` is given."""
+    return (isinstance(val, list) and all(map(isinstance, val, repeat(list)))
+            and (width is None or set(map(len, val)) <= {width})
+            and _ints(chain.from_iterable(val)))
+
+
 def _int_list(doc: dict, key: str, kind: str) -> tuple[int, ...]:
     val = doc.get(key)
-    if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+    if not isinstance(val, list) or not _ints(val):
         raise SchemaError(f"{kind}: {key} must be a list of integers")
     return tuple(val)
 
@@ -67,13 +84,9 @@ def _triples(doc: dict, key: str, kind: str) -> dict:
     val = doc.get(key)
     if not isinstance(val, list):
         raise SchemaError(f"{kind}: {key} must be a list of triples")
-    out = {}
-    for row in val:
-        if (not isinstance(row, list) or len(row) != 3
-                or not all(isinstance(x, int) for x in row)):
-            raise SchemaError(f"{kind}: {key} entries must be integer triples")
-        out[(row[0], row[1])] = row[2]
-    return out
+    if not _int_rows(val, 3):
+        raise SchemaError(f"{kind}: {key} entries must be integer triples")
+    return {(a, b): w for a, b, w in val}
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +99,7 @@ def _dump_category_fields(c: FiniteCategory) -> dict:
         "src": list(c.src),
         "tgt": list(c.tgt),
         "id_of": list(c.id_of),
-        "comp": [[a, b, w] for (a, b), w in sorted(c.comp.items())],
+        "comp": [[a, b, w] for (a, b), w in sorted(c.compositions())],
     }
 
 
@@ -142,9 +155,7 @@ def _dump_group(g: FiniteGroup) -> dict:
 def _load_group(doc: Any) -> FiniteGroup:
     doc = _require(doc, "group")
     table = doc.get("table")
-    if (not isinstance(table, list)
-            or not all(isinstance(row, list)
-                       and all(isinstance(x, int) for x in row) for row in table)):
+    if not _int_rows(table):
         raise SchemaError("group: table must be a list of integer rows")
     labels = doc.get("labels")
     if labels is not None:
@@ -240,9 +251,7 @@ def _dump_site(s: FiniteSite) -> dict:
 def _load_site(doc: Any) -> FiniteSite:
     doc = _require(doc, "site")
     leq = doc.get("leq")
-    if (not isinstance(leq, list)
-            or not all(isinstance(p, list) and len(p) == 2
-                       and all(isinstance(x, int) for x in p) for p in leq)):
+    if not _int_rows(leq, 2):
         raise SchemaError("site: leq must be a list of integer pairs")
     open_labels = _str_list(doc, "open_labels", "site", optional=False)
     point_labels = _str_list(doc, "point_labels", "site", optional=False)
@@ -392,8 +401,68 @@ def load_document(doc: Any):
 
 
 def _json_text(doc) -> str:
-    """The one JSON text format of documents and ``--json`` results."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON text format of documents and ``--json`` results: byte for
+    byte what ``json.dumps`` writes with ``indent=2, sort_keys=True``, plus
+    a newline.
+
+    The stdlib writes indented JSON one value at a time in Python.  This
+    writer tests types as ``json.encoder._make_iterencode`` does, in the same
+    order, but writes a list of ints with one ``join`` and a list of equally
+    long int lists, such as composition triples, with one ``%`` format."""
+    return _write(doc, "\n") + "\n"
+
+
+def _write(v, nl: str) -> str:
+    """``v`` as indented JSON; ``nl`` is a newline and ``v``'s indent."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if not isinstance(v, (list, tuple, dict)):
+        return json.dumps(v)  # a float, or a TypeError
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(v, dict):
+        body = sep.join([_key(k) + ": " + _write(x, inner)
+                         for k, x in sorted(v.items())])
+        return "{" + inner + body + nl + "}"
+    types = set(map(type, v))
+    if types == {int}:
+        body = sep.join(map(int.__repr__, v))
+    elif types != {list} or not (body := _rows_text(v, inner)):
+        body = sep.join([_write(x, inner) for x in v])
+    return "[" + inner + body + nl + "]"
+
+
+def _rows_text(rows: list, nl: str) -> str:
+    """The items of ``rows`` as JSON at indent ``nl``, in one ``%`` format,
+    if they are equally long, non-empty lists of ints; else ``""``."""
+    widths = set(map(len, rows))
+    flat = tuple(chain.from_iterable(rows))
+    if len(widths) != 1 or 0 in widths or set(map(type, flat)) != {int}:
+        return ""
+    inner = nl + "  "
+    row = "[" + inner + ("," + inner).join(["%d"] * len(rows[0])) + nl + "]"
+    return ("," + nl).join([row] * len(rows)) % flat
+
+
+def _key(k) -> str:
+    """A dict key as ``json`` writes it: a string, or a scalar's JSON text
+    quoted."""
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)
 
 
 def dumps(obj: Any) -> str:
