@@ -7,11 +7,16 @@ colimit groupoid and the construction below produces complete, well-defined
 tables; a non-filtered index may make composition on classes clash, which is
 reported as ``NotFilteredError``.
 
-Every table indexed by classes (source, target, inverse and identity of the
-colimit, its induced involution, the comparison map, and the stalk maps of
-``grpd.presheaf``) is induced from tables on the nodes by one routine,
-``_descend``.  Members of a class that disagree raise ``InvariantViolation``;
-the comparison map reads that as "not an isomorphism".
+Every table indexed by classes is induced from tables on the nodes by one
+routine, ``_descend``: the colimit's source, target, inverse and identity
+tables in ``colimit_groupoids``, and every map out of a colimit in
+``_induced_map``.  That map is given on each node and read through the
+cocones; its three uses are the induced involution (bar, then the cocone),
+the comparison map of ``hfp_colimit_comparison`` (``hfp_map`` of each
+cocone) and the stalk maps of ``grpd.presheaf`` (the map at an open, then
+the codomain's germ).  Members of a class that disagree raise
+``InvariantViolation``; the comparison map reads that as "not an
+isomorphism".
 """
 
 from __future__ import annotations
@@ -168,6 +173,20 @@ def _descend(what: str, n_classes: int, class_maps: Sequence[Sequence[int]],
     return tuple(table[c] for c in range(n_classes))
 
 
+def _induced_map(what: str, co: GroupoidColimit, cod: FiniteGroupoid,
+                 maps: Sequence[GroupoidMap]) -> GroupoidMap:
+    """The map out of the colimit ``co`` into ``cod`` that is ``maps[i]`` on
+    node i, read through the cocones.  Raises ``InvariantViolation`` naming
+    ``"{what} on objects"`` or ``"{what} on morphisms"`` at the first class
+    whose members the maps send apart."""
+    g = co.groupoid
+    obj_map = _descend(f"{what} on objects", g.n_objects,
+                       [c.obj_map for c in co.cocones], [f.obj_map for f in maps])
+    mor_map = _descend(f"{what} on morphisms", g.n_morphisms,
+                       [c.mor_map for c in co.cocones], [f.mor_map for f in maps])
+    return GroupoidMap(g, cod, obj_map, mor_map)
+
+
 def colimit_groupoids(index: FiniteCategory, gpds: Sequence[FiniteGroupoid],
                       maps: Sequence[GroupoidMap]) -> GroupoidColimit:
     """Set-level colimit of plain groupoids over the index, with cocone maps.
@@ -237,15 +256,10 @@ def colimit(d: FilteredDiagram, require_filtered: bool = True) -> ColimitResult:
     co = colimit_groupoids(d.index, [a.carrier for a in d.nodes],
                            [e.map for e in d.arrows])
     g = co.groupoid
-    bar_obj = _descend("induced involution on objects", g.n_objects,
-                       [f.obj_map for f in co.cocones],
-                       [[f.obj_map[y] for y in a.bar_obj]
-                        for f, a in zip(co.cocones, d.nodes)])
-    bar_mor = _descend("induced involution on morphisms", g.n_morphisms,
-                       [f.mor_map for f in co.cocones],
-                       [[f.mor_map[k] for k in a.bar_mor]
-                        for f, a in zip(co.cocones, d.nodes)])
-    action = GammaAction(g, bar_obj, bar_mor)
+    bar = _induced_map("induced involution", co, g, [
+        GroupoidMap(a.carrier, a.carrier, a.bar_obj, a.bar_mor).then(f)
+        for f, a in zip(co.cocones, d.nodes)])
+    action = GammaAction(g, bar.obj_map, bar.mor_map)
     cocones = tuple(
         EquivariantMap(co.cocones[i], d.nodes[i], action) for i in range(len(d.nodes))
     )
@@ -275,34 +289,13 @@ def hfp_colimit_comparison(d: FilteredDiagram,
         for u in d.index.morphisms()
     ]
     lhs = colimit_groupoids(d.index, [fp.groupoid for fp in fps], arrow_maps)
-    germs = [c.map for c in co.cocones]
-
-    def fixed_object(i, o):
-        base, phi = germs[i].obj_map[o.base], germs[i].mor_map[o.phi]
-        return rhs.object_id(base, phi) if rhs.has_object(base, phi) else None
-
-    def fixed_morphism(i, m):
-        src = obj_map[lhs.cocones[i].obj_map[fps[i].groupoid.src[m]]]
-        alpha = germs[i].mor_map[fps[i].underlying[m]]
-        return rhs.morphism_id(src, alpha) if rhs.has_morphism(src, alpha) else None
-
-    # a class whose members land on different fixed points, or on none,
-    # leaves the canonical map undefined
-    f = None
+    # a class whose members land on different fixed points leaves the
+    # canonical map undefined
     try:
-        obj_map = _descend("comparison on objects", lhs.groupoid.n_objects,
-                           [c.obj_map for c in lhs.cocones],
-                           [[fixed_object(i, o) for o in fp.objects]
-                            for i, fp in enumerate(fps)])
-        if None not in obj_map:
-            mor_map = _descend("comparison on morphisms", lhs.groupoid.n_morphisms,
-                               [c.mor_map for c in lhs.cocones],
-                               [[fixed_morphism(i, m) for m in fp.groupoid.morphisms()]
-                                for i, fp in enumerate(fps)])
-            if None not in mor_map:
-                f = GroupoidMap(lhs.groupoid, rhs.groupoid, obj_map, mor_map)
+        f = _induced_map("comparison", lhs, rhs.groupoid, [
+            hfp_map(c, fp, rhs) for c, fp in zip(co.cocones, fps)])
     except InvariantViolation:
-        pass
+        f = None
     bijective = (
         f is not None
         and len(set(f.obj_map)) == len(f.obj_map) == rhs.groupoid.n_objects

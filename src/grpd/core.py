@@ -93,11 +93,11 @@ class FiniteCategory:
     composable pair a row at a time without building anything; the ``comp``
     property is the full table, built from that walk on first access and
     read by ``compose_each`` from then on, since a lookup is faster than a
-    nested rule.  ``hom`` and ``out_of``, the morphisms out of each object,
-    are indexed once per instance.
+    nested rule.  ``out_of``, the morphisms out of each object, is indexed
+    once per instance; ``hom`` filters it on target.
     """
 
-    __slots__ = ("n_objects", "src", "tgt", "id_of", "compose_each", "_comp", "_hom", "_out_of")
+    __slots__ = ("n_objects", "src", "tgt", "id_of", "compose_each", "_comp", "_out_of")
 
     def __init__(self, n_objects, src, tgt, id_of, comp):
         self.n_objects = int(n_objects)
@@ -109,7 +109,6 @@ class FiniteCategory:
             self.compose_each = comp
         else:
             self._use_table(dict(comp))
-        self._hom = None
         self._out_of = None
 
     def _use_table(self, table: dict) -> None:
@@ -160,12 +159,12 @@ class FiniteCategory:
         return self._out_of
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        if self._hom is None:
-            table = {}
-            for m in self.morphisms():
-                table.setdefault((self.src[m], self.tgt[m]), []).append(m)
-            self._hom = {k: tuple(v) for k, v in table.items()}
-        return self._hom.get((x, y), ())
+        """The arrows x -> y in increasing order, read off ``out_of[x]``;
+        none if x is not an object."""
+        if not 0 <= x < self.n_objects:
+            return ()
+        tgt = self.tgt
+        return tuple(k for k in self.out_of[x] if tgt[k] == y)
 
     def _tables(self) -> tuple:
         return self.n_objects, self.src, self.tgt, self.id_of
@@ -195,8 +194,7 @@ class FiniteGroupoid(FiniteCategory):
         self.mor_labels = None if mor_labels is None else tuple(mor_labels)
 
     def aut(self, x: int) -> tuple[int, ...]:
-        """The arrows x -> x in increasing order, read off ``out_of[x]``."""
-        return tuple(k for k in self.out_of[x] if self.tgt[k] == x)
+        return self.hom(x, x)
 
     def obj_label(self, x: int) -> str:
         if self.obj_labels is not None:

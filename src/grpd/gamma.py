@@ -136,14 +136,8 @@ class HomotopyFixedPoints:
     def object_id(self, base: int, phi: int) -> int:
         return self._obj_index[(base, phi)]
 
-    def has_object(self, base: int, phi: int) -> bool:
-        return (base, phi) in self._obj_index
-
     def morphism_id(self, src_obj: int, alpha: int) -> int:
         return self._lifts[src_obj][alpha]
-
-    def has_morphism(self, src_obj: int, alpha: int) -> bool:
-        return 0 <= src_obj < len(self._lifts) and alpha in self._lifts[src_obj]
 
     def iota(self) -> GroupoidMap:
         """The forgetful map to the carrier: (x, phi) -> x, alpha -> alpha."""

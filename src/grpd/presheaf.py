@@ -18,7 +18,8 @@ from typing import Sequence
 from .colimit import (
     ColimitComparison,
     FilteredDiagram,
-    _descend,
+    GroupoidColimit,
+    _induced_map,
     _poset_category,
     colimit_groupoids,
     hfp_colimit_comparison,
@@ -346,17 +347,9 @@ def stalk_map(f: PresheafMap, t: int) -> GroupoidMap:
     """The induced map on stalks at a point."""
     sd = stalk(f.dom, t)
     sc = stalk(f.cod, t)
-    gd = [sd.germs[u] for u in sd.opens]
-    gc = [sc.germs[u] for u in sd.opens]
-    obj_map = _descend("stalk map on objects", sd.groupoid.n_objects,
-                       [g.obj_map for g in gd],
-                       [[g.obj_map[y] for y in f.at[u].obj_map]
-                        for g, u in zip(gc, sd.opens)])
-    mor_map = _descend("stalk map on morphisms", sd.groupoid.n_morphisms,
-                       [g.mor_map for g in gd],
-                       [[g.mor_map[k] for k in f.at[u].mor_map]
-                        for g, u in zip(gc, sd.opens)])
-    return GroupoidMap(sd.groupoid, sc.groupoid, obj_map, mor_map)
+    co = GroupoidColimit(sd.groupoid, tuple(sd.germs[u] for u in sd.opens))
+    return _induced_map("stalk map", co, sc.groupoid,
+                        [f.at[u].then(sc.germs[u]) for u in sd.opens])
 
 
 def diagram_at_point(a: PresheafGammaAction, t: int) -> FilteredDiagram:

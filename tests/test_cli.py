@@ -263,6 +263,54 @@ def test_colimit_command_on_control(tmp_path):
     assert "not an isomorphism" in out
 
 
+EMPTY_INDEX_TEXT = (
+    "filtered: no (the index category is empty)\n"
+    "colimit: 0 objects, 0 morphisms\n"
+    "fixed points of colimit: 0 objects, 0 morphisms\n"
+    "colimit of fixed points: 0 objects, 0 morphisms\n"
+    "comparison map: isomorphism\n"
+)
+
+EMPTY_INDEX_JSON = """\
+{
+  "colimit": {
+    "bar_mor": [],
+    "bar_obj": [],
+    "groupoid": {
+      "comp": [],
+      "id_of": [],
+      "inv": [],
+      "kind": "groupoid",
+      "n_objects": 0,
+      "schema": 1,
+      "src": [],
+      "tgt": []
+    },
+    "kind": "gamma-action",
+    "schema": 1
+  },
+  "colimit_of_fixed_points": {
+    "morphisms": 0,
+    "objects": 0
+  },
+  "filtered": false,
+  "fixed_points_of_colimit": {
+    "morphisms": 0,
+    "objects": 0
+  },
+  "isomorphism": true
+}
+"""
+
+
+def test_colimit_command_on_an_empty_index(tmp_path):
+    empty = FiniteCategory(n_objects=0, src=(), tgt=(), id_of=(), comp={})
+    f = write(tmp_path, "empty.json", FilteredDiagram(empty, (), ()))
+    assert invoke(["colimit", f]) == (1, "not filtered: the index category is empty\n")
+    assert invoke(["colimit", f, "--allow-unfiltered"]) == (0, EMPTY_INDEX_TEXT)
+    assert invoke(["colimit", f, "--allow-unfiltered", "--json"]) == (0, EMPTY_INDEX_JSON)
+
+
 def test_stalk_command(tmp_path):
     a = skyscraper_presheaf_action(sierpinski_site(), 0, bg_gamma_action(
         GroupGammaAction(group=cyclic_group(2), bar=(0, 1))))

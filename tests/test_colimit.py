@@ -1,4 +1,6 @@
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +9,7 @@ from grpd.colimit import (
     GroupoidColimit,
     NotFilteredError,
     _descend,
+    _induced_map,
     colimit,
     colimit_groupoids,
     filtered_witness,
@@ -26,7 +29,8 @@ from grpd.core import (
     validate_functor,
 )
 from grpd.corpus import nonfiltered_control_diagram, random_filtered_diagram, random_presheaf_action
-from grpd.gamma import EquivariantMap, hfp, hfp_map, set_as_groupoid, trivial_action
+from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, hfp, hfp_map,
+                        set_as_groupoid, trivial_action)
 from grpd.groups import cyclic_group, inversion_automorphism
 from grpd.presheaf import diagram_at_point
 
@@ -217,8 +221,10 @@ def test_colimit_rejects_a_non_equivariant_arrow():
         index=two_chain(), nodes=(a, b),
         arrows=(identity_arrow(a), identity_arrow(b),
                 EquivariantMap(identity_map(a.carrier), a, b)))
-    with pytest.raises(InvariantViolation, match="induced involution"):
-        colimit(d)
+    for compute in (colimit, hfp_colimit_comparison):
+        with pytest.raises(InvariantViolation, match=r"^induced involution on objects "
+                           r"is not well-defined on class 0: 1 != 0$"):
+            compute(d)
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +367,130 @@ def test_colimit_of_fixed_points_builds_no_node_table():
         assert all(g._comp is None for g in gpds)
         colimit_groupoids(index, gpds, maps)
         assert all(g._comp is None for g in gpds)
+
+
+# ---------------------------------------------------------------------------
+# maps out of a colimit, read through the cocones by ``_induced_map``
+
+
+def reference_involution(d, co):
+    """The induced involution as two ``_descend`` calls over the cocones of
+    the carriers' colimit ``co``, one table per node."""
+    g = co.groupoid
+    bar_obj = _descend("induced involution on objects", g.n_objects,
+                       [f.obj_map for f in co.cocones],
+                       [[f.obj_map[y] for y in a.bar_obj]
+                        for f, a in zip(co.cocones, d.nodes)])
+    bar_mor = _descend("induced involution on morphisms", g.n_morphisms,
+                       [f.mor_map for f in co.cocones],
+                       [[f.mor_map[k] for k in a.bar_mor]
+                        for f, a in zip(co.cocones, d.nodes)])
+    return bar_obj, bar_mor
+
+
+def test_induced_involution_agrees_with_the_per_node_reference():
+    diagrams = [random_filtered_diagram(random.Random(seed)) for seed in range(50)]
+    for d in diagrams + [nonfiltered_control_diagram()]:
+        res = colimit(d, require_filtered=False)
+        co = colimit_groupoids(d.index, [a.carrier for a in d.nodes],
+                               [e.map for e in d.arrows])
+        assert (res.action.bar_obj, res.action.bar_mor) == reference_involution(d, co)
+
+
+def test_induced_map_names_the_first_class_its_maps_send_apart():
+    # a groupoid over the two-chain along its identity; a swap on node 1
+    # sends class 0 apart, on morphisms in BG(Z2), on objects in two points
+    for g, swap, where in ((build_bg(cyclic_group(2)), ((0,), (1, 0)), "morphisms"),
+                           (discrete_groupoid(2), ((1, 0), (1, 0)), "objects")):
+        ident = identity_map(g)
+        co = colimit_groupoids(two_chain(), [g, g], [ident] * 3)
+        assert _induced_map("m", co, g, [ident, ident]) == GroupoidMap(
+            co.groupoid, g, ident.obj_map, ident.mor_map)
+        with pytest.raises(InvariantViolation, match=f"^m on {where} is not "
+                           "well-defined on class 0: 0 != 1$"):
+            _induced_map("m", co, g, [ident, GroupoidMap(g, g, *swap)])
+
+
+def test_a_class_whose_members_land_apart_leaves_no_comparison_map(monkeypatch):
+    # the cocones of a diagram of functors send no class apart, so the map
+    # read through node 1's cocone is swapped by hand
+    a, b = set_as_groupoid((0, 1)), set_as_groupoid((0, 1))
+    d = FilteredDiagram(two_chain(), (a, b), (identity_arrow(a), identity_arrow(b),
+                                              EquivariantMap(identity_map(a.carrier), a, b)))
+    assert hfp_colimit_comparison(d).is_isomorphism
+    module = importlib.import_module("grpd.colimit")  # the package exports colimit()
+    real = module.hfp_map
+
+    def swapped_on_node_1(e, dom_fp, cod_fp):
+        f = real(e, dom_fp, cod_fp)
+        if e.dom_action is b and e.cod_action is not b:
+            return replace(f, obj_map=f.obj_map[::-1], mor_map=f.mor_map[::-1])
+        return f
+
+    monkeypatch.setattr(module, "hfp_map", swapped_on_node_1)
+    c = hfp_colimit_comparison(d)
+    assert c.map is None and not c.is_isomorphism
+
+
+def with_arrow(d, u, obj_map, mor_map):
+    e = d.arrows[u]
+    return replace(d, arrows=d.arrows[:u] + (replace(e, map=replace(
+        e.map, obj_map=obj_map, mor_map=mor_map)),) + d.arrows[u + 1:])
+
+
+def invalid_diagrams():
+    """Diagrams with one arrow that is not a functor or not equivariant, each
+    with the outcome of ``colimit`` and of ``hfp_colimit_comparison``; one not
+    equivariant on objects is in ``test_colimit_rejects_a_non_equivariant_arrow``."""
+    control = nonfiltered_control_diagram()
+    z3 = cyclic_group(3)
+    bz3 = trivial_action(build_bg(z3))
+    inverted = GammaAction(bz3.carrier, (0,), inversion_automorphism(z3))
+    identity_error = ("InvariantViolation", "identity is not well-defined on class 0: 0 != 1")
+    inverse_error = ("InvariantViolation", "inverse is not well-defined on class 1: 1 != 2")
+    morphisms_error = ("InvariantViolation", "induced involution on morphisms is not "
+                       "well-defined on class 1: 2 != 1")
+    return {
+        # equivariant, but sends each identity to the other one
+        "control-not-a-functor": (with_arrow(control, 2, (0, 1), (1, 0)),
+                                  identity_error, identity_error),
+        # a constant map: the classes merge, so the involution descends
+        "control-not-equivariant": (
+            with_arrow(control, 3, (0, 0), (0, 0)), ((0,), (0,)),
+            ("NotEquivariantError", "map fails equivariance at object 0")),
+        "chain-not-a-functor": (
+            FilteredDiagram(two_chain(), (bz3, bz3), (
+                identity_arrow(bz3), identity_arrow(bz3),
+                EquivariantMap(GroupoidMap(bz3.carrier, bz3.carrier, (0,), (0, 2, 2)),
+                               bz3, bz3))),
+            inverse_error, inverse_error),
+        "chain-not-equivariant-on-morphisms": (
+            FilteredDiagram(two_chain(), (inverted, bz3), (
+                identity_arrow(inverted), identity_arrow(bz3),
+                EquivariantMap(identity_map(bz3.carrier), inverted, bz3))),
+            morphisms_error, morphisms_error),
+    }
+
+
+def outcome(compute, d):
+    try:
+        return compute(d)
+    except (InvariantViolation, NotFilteredError, NotEquivariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(invalid_diagrams()))
+def test_invalid_arrows_give_the_recorded_outcome(name):
+    d, want_colimit, want_comparison = invalid_diagrams()[name]
+    assert validate_diagram(d) != []
+
+    def involution(d):
+        res = colimit(d, require_filtered=False)
+        return res.action.bar_obj, res.action.bar_mor
+
+    def comparison(d):
+        c = hfp_colimit_comparison(d, require_filtered=False)
+        return c.is_isomorphism, c.map.obj_map, c.map.mor_map
+
+    assert outcome(involution, d) == want_colimit
+    assert outcome(comparison, d) == want_comparison

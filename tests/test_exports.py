@@ -52,3 +52,21 @@ def test_no_assert_statement_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_colimit_and_the_induced_map_descend():
+    # every map out of a colimit is read through its cocones by _induced_map
+    def descends(node):
+        return isinstance(node, ast.Call) and "_descend" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    calls, allowed = [], []
+    for path in sorted(Path(grpd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls.extend((path.name, node.lineno) for node in ast.walk(tree) if descends(node))
+        allowed.extend((path.name, node.lineno) for func in tree.body
+                       if isinstance(func, ast.FunctionDef)
+                       and func.name in ("colimit_groupoids", "_induced_map")
+                       for node in ast.walk(func) if descends(node))
+    assert calls == sorted(allowed)
+    assert {name for name, _ in calls} == {"colimit.py"} and len(calls) == 6

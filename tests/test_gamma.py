@@ -102,8 +102,8 @@ def test_object_and_morphism_lookup():
     fp = hfp(bz2_trivial())
     for i, o in enumerate(fp.objects):
         assert fp.object_id(o.base, o.phi) == i
-        assert fp.has_object(o.base, o.phi)
-    assert not fp.has_object(0, 99)
+    with pytest.raises(KeyError):
+        fp.object_id(0, 99)
     g = fp.groupoid
     for m in g.morphisms():
         assert fp.morphism_id(g.src[m], fp.underlying[m]) == m

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
+from grpd.colimit import _descend
 from grpd.core import (
     FiniteGroupoid,
     GroupoidMap,
@@ -21,6 +22,7 @@ from grpd.corpus import (
     local_not_sectionwise_fib,
     local_not_sectionwise_weq,
     random_presheaf_action,
+    random_sectionwise_map,
     random_site,
     skyscraper_presheaf_action,
 )
@@ -268,3 +270,28 @@ def test_carriers_equal_to_their_sections_are_checked_like_carriers():
         "open 0: carrier labels: obj_labels has ")
     assert validate_presheaf_gamma_action(cases[2])[0] == (
         "open 0: shape: bar tables do not match the carrier")
+
+
+def reference_stalk_map(f, t):
+    """The stalk map as two ``_descend`` calls over the domain's germs, one
+    table per open: the map there, then the codomain's germ."""
+    sd, sc = stalk(f.dom, t), stalk(f.cod, t)
+    gd = [sd.germs[u] for u in sd.opens]
+    gc = [sc.germs[u] for u in sd.opens]
+    obj_map = _descend("stalk map on objects", sd.groupoid.n_objects,
+                       [g.obj_map for g in gd],
+                       [[g.obj_map[y] for y in f.at[u].obj_map]
+                        for g, u in zip(gc, sd.opens)])
+    mor_map = _descend("stalk map on morphisms", sd.groupoid.n_morphisms,
+                       [g.mor_map for g in gd],
+                       [[g.mor_map[k] for k in f.at[u].mor_map]
+                        for g, u in zip(gc, sd.opens)])
+    return obj_map, mor_map
+
+
+def test_stalk_map_agrees_with_the_per_open_reference():
+    maps = [random_sectionwise_map(random.Random(seed)) for seed in range(50)]
+    for f in maps + [local_not_sectionwise_weq(), local_not_sectionwise_fib()]:
+        for t in f.dom.site.points():
+            g = stalk_map(f, t)
+            assert (g.obj_map, g.mor_map) == reference_stalk_map(f, t)
