@@ -253,8 +253,9 @@ def _cmd_stalk(args, out) -> int:
         points = matches
     rows = []
     all_ok = True
+    fps = [hfp(b) for b in a.at]
     for t in points:
-        c = stalk_commutation_check(a, t)
+        c = stalk_commutation_check(a, t, fps)
         st = c.colimit.groupoid
         all_ok = all_ok and c.is_isomorphism
         rows.append((site.point_labels[t], st.n_objects, st.n_morphisms,

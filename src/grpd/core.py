@@ -251,6 +251,7 @@ def _category_report(c: FiniteCategory, inv=None) -> list[str]:
             report.append(f"unit: id . {k} != {k}")
         if comp[(k, id_of[tgt[k]])] != k:
             report.append(f"unit: {k} . id != {k}")
+    units = () if report else id_of
     if inv is not None:
         for k in range(m):
             if src[inv[k]] != tgt[k] or tgt[inv[k]] != src[k]:
@@ -260,7 +261,7 @@ def _category_report(c: FiniteCategory, inv=None) -> list[str]:
                 report.append(f"inverse: {k} then inv({k}) is not the identity")
             if comp[(inv[k], k)] != id_of[tgt[k]]:
                 report.append(f"inverse: inv({k}) then {k} is not the identity")
-    return report + _associativity_report(src, tgt, out_of, c.compose_each)
+    return report + _associativity_report(src, tgt, out_of, c.compose_each, units)
 
 
 def _label_report(g: FiniteGroupoid) -> list[str]:
@@ -312,20 +313,27 @@ def identity_map(g: FiniteGroupoid) -> GroupoidMap:
     return GroupoidMap(g, g, tuple(g.objects()), tuple(g.morphisms()))
 
 
+def _map_shape_report(f: GroupoidMap) -> list[str]:
+    """The first of: map tables whose lengths do not match the domain, an
+    object image out of range, a morphism image out of range.  A map that
+    passes can be composed with ``then``."""
+    dom, cod = f.dom, f.cod
+    if len(f.obj_map) != dom.n_objects or len(f.mor_map) != dom.n_morphisms:
+        return ["shape: map tables do not match the domain"]
+    if any(not 0 <= y < cod.n_objects for y in f.obj_map):
+        return ["shape: object image out of range"]
+    if any(not 0 <= k < cod.n_morphisms for k in f.mor_map):
+        return ["shape: morphism image out of range"]
+    return []
+
+
 def validate_functor(f: GroupoidMap) -> list[str]:
     """The functor laws, one violation per line; empty means a functor.  A
     composite the codomain lacks is reported as a composition violation."""
-    report = []
+    report = _map_shape_report(f)
+    if report:
+        return report
     dom, cod = f.dom, f.cod
-    if len(f.obj_map) != dom.n_objects or len(f.mor_map) != dom.n_morphisms:
-        report.append("shape: map tables do not match the domain")
-        return report
-    if any(not 0 <= y < cod.n_objects for y in f.obj_map):
-        report.append("shape: object image out of range")
-        return report
-    if any(not 0 <= k < cod.n_morphisms for k in f.mor_map):
-        report.append("shape: morphism image out of range")
-        return report
     for m in dom.morphisms():
         if cod.src[f.mor_map[m]] != f.obj_map[dom.src[m]]:
             report.append(f"src: morphism {m}")

@@ -97,9 +97,11 @@ def validate_group(g: FiniteGroup) -> list[str]:
     if not 0 <= g.identity < n:
         report.append("shape: identity out of range")
         return report
+    units = (g.identity,)
     for a in range(n):
         if g.mul(g.identity, a) != a or g.mul(a, g.identity) != a:
             report.append(f"identity: {a} is not fixed by the identity")
+            units = ()
     for a in range(n):
         if g.mul(a, g.inv(a)) != g.identity or g.mul(g.inv(a), a) != g.identity:
             report.append(f"inverse: inv({a}) is not a two-sided inverse")
@@ -109,7 +111,7 @@ def validate_group(g: FiniteGroup) -> list[str]:
         row = rows[a]
         return [row[b] for b in bs]
 
-    return report + _associativity_report((0,) * n, (0,) * n, [range(n)], each)
+    return report + _associativity_report((0,) * n, (0,) * n, [range(n)], each, units)
 
 
 def _from_table(table, name, labels=None) -> FiniteGroup:

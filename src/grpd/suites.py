@@ -39,6 +39,7 @@ from .presheaf import (
     presheaf_hfp,
     stalk,
     stalk_commutation_check,
+    stalk_map,
     validate_presheaf_gamma_action,
 )
 from .twisted import parameter_fibration
@@ -366,7 +367,7 @@ def suite_stalk_commutation(seed: int, size: str = "full") -> tuple[bool, list[s
         ph = presheaf_hfp(a)
         for t in a.presheaf.site.points():
             points += 1
-            c = stalk_commutation_check(a, t)
+            c = stalk_commutation_check(a, t, ph.fixed_points)
             if not c.is_isomorphism:
                 bad_verdict += 1
             if stalk(ph.presheaf, t).groupoid != c.lhs:
@@ -375,13 +376,16 @@ def suite_stalk_commutation(seed: int, size: str = "full") -> tuple[bool, list[s
     sw_weq = sw_fib = broken = 0
     for _ in range(m):
         f = corpus.random_sectionwise_map(rng)
-        if is_sectionwise_weq(f):
+        weq, fib = is_sectionwise_weq(f), is_sectionwise_fib(f)
+        # each stalk map is built once and decided both ways
+        stalk_maps = [stalk_map(f, t) for t in f.dom.site.points()] if weq or fib else []
+        if weq:
             sw_weq += 1
-            if not is_local_weq(f):
+            if not all(map(is_weak_equivalence, stalk_maps)):
                 broken += 1
-        if is_sectionwise_fib(f):
+        if fib:
             sw_fib += 1
-            if not is_local_fib(f):
+            if not all(map(is_fibration, stalk_maps)):
                 broken += 1
     lnw = corpus.local_not_sectionwise_weq()
     lnf = corpus.local_not_sectionwise_fib()

@@ -7,32 +7,26 @@ from typing import Callable, Sequence
 __all__ = ["UnionFind"]
 
 
-def _associativity_report(src: Sequence[int], tgt: Sequence[int],
-                          out_of: Sequence[Sequence[int]],
-                          each: Callable[[int, Sequence[int]], list]) -> list[str]:
-    """``associativity: (a,b,c)`` for every composable triple with
-    (a.b).c != a.(b.c), in the order of a walk over a, then b out of its
-    target, then c.  ``out_of[x]`` lists the arrows with source x in
-    increasing order, and ``each(m1, ms)``, a row reader like
-    ``FiniteCategory.compose_each``, returns the composites of m1 with each
-    arrow of ``ms``, all leaving ``tgt[m1]``, with the right endpoints.
+def _generators(src: Sequence[int], tgt: Sequence[int], out_of: Sequence[Sequence[int]],
+                each: Callable[[int, Sequence[int]], list], units: Sequence[int] = ()) -> list[int]:
+    """Generating arrows, in increasing order: every arrow not in ``units``
+    is a composite of one or more generators, and no generator is in
+    ``units`` or a composite of the others.  ``out_of`` and ``each`` are as
+    for ``_associativity_report``; ``units`` lists identity arrows, which are
+    the empty composites, so that no generator is an identity.
 
-    Decided by Light's test (Clifford and Preston, *The Algebraic Theory of
-    Semigroups*, Vol. 1, 1961): the arrows b with (a.b).c == a.(b.c) for all
-    composable a and c are closed under composition, so it suffices to check
-    a generating set, two rows per left factor a.  Generators are picked
-    greedily in arrow order: each arrow not yet reached by right-composing
-    reached arrows with generators becomes one.  Only if a generator fails is
-    every triple walked, a row of c at a time.
+    Picked greedily in arrow order, each arrow not yet reached by
+    right-composing reached arrows with generators becoming one; then each
+    generator that the others reach is dropped, in order.  On a poset this
+    leaves exactly the covering relations, which greedy picking alone misses
+    when an arrow is numbered before one it factors through.
     """
-    m = len(src)
-    into = [[] for _ in out_of]
-    for k, y in enumerate(tgt):
-        into[y].append(k)
-    reached = bytearray(m)
+    reached = bytearray(len(src))
+    for k in units:
+        reached[k] = 1
     reached_into = [[] for _ in out_of]
     gens, gens_out = [], [[] for _ in out_of]
-    for k in range(m):
+    for k in range(len(src)):
         if reached[k]:
             continue
         gens.append(k)
@@ -45,10 +39,50 @@ def _associativity_report(src: Sequence[int], tgt: Sequence[int],
                 reached[r] = 1
                 reached_into[tgt[r]].append(r)
                 todo.extend(each(r, gens_out[tgt[r]]))
-    if all(_is_good(b, into[src[b]], out_of[tgt[b]], each) for b in gens):
+    for g in tuple(gens):
+        others = gens_out[src[g]]
+        others.remove(g)
+        seen, todo = set(), list(others)
+        while todo and g not in seen:
+            r = todo.pop()
+            if r not in seen:
+                seen.add(r)
+                todo.extend(each(r, gens_out[tgt[r]]))
+        if g in seen:
+            gens.remove(g)
+        else:
+            others.append(g)
+    return gens
+
+
+def _associativity_report(src: Sequence[int], tgt: Sequence[int],
+                          out_of: Sequence[Sequence[int]],
+                          each: Callable[[int, Sequence[int]], list],
+                          units: Sequence[int] = ()) -> list[str]:
+    """``associativity: (a,b,c)`` for every composable triple with
+    (a.b).c != a.(b.c), in the order of a walk over a, then b out of its
+    target, then c.  ``out_of[x]`` lists the arrows with source x in
+    increasing order, and ``each(m1, ms)``, a row reader like
+    ``FiniteCategory.compose_each``, returns the composites of m1 with each
+    arrow of ``ms``, all leaving ``tgt[m1]``, with the right endpoints.
+    ``units`` lists identity arrows for which the caller has checked the
+    unit laws.
+
+    Decided by Light's test (Clifford and Preston, *The Algebraic Theory of
+    Semigroups*, Vol. 1, 1961): the arrows b with (a.b).c == a.(b.c) for all
+    composable a and c are closed under composition and contain every unit,
+    so it suffices to check the generators of ``_generators``, two rows per
+    left factor a.  Only if a generator fails is every triple walked, a row
+    of c at a time.
+    """
+    into = [[] for _ in out_of]
+    for k, y in enumerate(tgt):
+        into[y].append(k)
+    if all(_is_good(b, into[src[b]], out_of[tgt[b]], each)
+           for b in _generators(src, tgt, out_of, each, units)):
         return []
     report = []
-    for a in range(m):
+    for a in range(len(src)):
         bs = out_of[tgt[a]]
         for b, ab in zip(bs, each(a, bs)):
             cs = out_of[tgt[b]]

@@ -1,9 +1,11 @@
 import hashlib
+import importlib
 import io
 import json
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -499,3 +501,33 @@ def test_json_output_bytes_are_unchanged(tmp_path, command):
     code, out = invoke([command, write(tmp_path, "doc.json", doc), "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_OUTPUT_SHA256[command]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_compute_commands_match_the_recorded_document_hashes(tmp_path, monkeypatch):
+    # the seed-0 presheaf and diagram documents of the benchmark, rebuilt in
+    # tmp_path; bench/ is only read (no bytecode is written there)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("expect", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((BENCH / "reference" / "documents_seed0.json").read_text())
+    grpd = importlib.import_module("grpd")
+    for module in ("core", "corpus", "groups", "jsonio"):
+        importlib.import_module(f"grpd.{module}")
+    docs = workloads.Documents(grpd, 0, tmp_path, BENCH / "reference")
+    checked = 0
+    for kind, stem, obj in docs._objects():
+        command = {"presheaf": "stalk", "diagram": "colimit"}.get(kind)
+        if command is None:
+            continue
+        path = tmp_path / f"{stem}.json"
+        path.write_text(dumps(obj))
+        code, out = invoke([command, str(path)])
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == reference[
+            f"{command} {path.name}"], path.name
+        checked += 1
+    assert checked == 160

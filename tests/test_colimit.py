@@ -28,11 +28,14 @@ from grpd.core import (
     validate_category,
     validate_functor,
 )
-from grpd.corpus import nonfiltered_control_diagram, random_filtered_diagram, random_presheaf_action
-from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, hfp, hfp_map,
-                        set_as_groupoid, trivial_action)
+from grpd.corpus import (_bar_power_diagram, _chain_diagram, _fold_diagram, _retract_diagram,
+                         nonfiltered_control_diagram, random_filtered_diagram,
+                         random_presheaf_action)
+from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, equivariance_witness,
+                        hfp, hfp_map, set_as_groupoid, trivial_action, validate_gamma_action)
 from grpd.groups import cyclic_group, inversion_automorphism
 from grpd.presheaf import diagram_at_point
+from grpd.util import UnionFind
 
 
 def two_chain():
@@ -311,7 +314,7 @@ def colimit_outcome(routine, index, gpds, maps):
         res = routine(index, gpds, maps)
     except NotFilteredError as exc:
         return ("not filtered", str(exc), exc.witness)
-    return ("colimit", res.groupoid, list(res.groupoid.comp),
+    return ("colimit", res.groupoid, sorted(res.groupoid.comp.items()),
             [(f.obj_map, f.mor_map) for f in res.cocones])
 
 
@@ -413,7 +416,8 @@ def test_induced_map_names_the_first_class_its_maps_send_apart():
 
 def test_a_class_whose_members_land_apart_leaves_no_comparison_map(monkeypatch):
     # the cocones of a diagram of functors send no class apart, so the map
-    # read through node 1's cocone is swapped by hand
+    # read through node 1's cocone is swapped by hand; the InvariantViolation
+    # of _induced_map propagates
     a, b = set_as_groupoid((0, 1)), set_as_groupoid((0, 1))
     d = FilteredDiagram(two_chain(), (a, b), (identity_arrow(a), identity_arrow(b),
                                               EquivariantMap(identity_map(a.carrier), a, b)))
@@ -428,8 +432,9 @@ def test_a_class_whose_members_land_apart_leaves_no_comparison_map(monkeypatch):
         return f
 
     monkeypatch.setattr(module, "hfp_map", swapped_on_node_1)
-    c = hfp_colimit_comparison(d)
-    assert c.map is None and not c.is_isomorphism
+    with pytest.raises(InvariantViolation, match="^comparison on objects is not "
+                       "well-defined on class 0: 0 != 1$"):
+        hfp_colimit_comparison(d)
 
 
 def with_arrow(d, u, obj_map, mor_map):
@@ -441,17 +446,21 @@ def with_arrow(d, u, obj_map, mor_map):
 def invalid_diagrams():
     """Diagrams with one arrow that is not a functor or not equivariant, each
     with the outcome of ``colimit`` and of ``hfp_colimit_comparison``; one not
-    equivariant on objects is in ``test_colimit_rejects_a_non_equivariant_arrow``."""
+    equivariant on objects is in ``test_colimit_rejects_a_non_equivariant_arrow``.
+    On a map that is not a functor the outcome is what ``colimit_groupoids``
+    documents: classes joined along generator arrows, tables read off the
+    terminal nodes."""
     control = nonfiltered_control_diagram()
     z3 = cyclic_group(3)
     bz3 = trivial_action(build_bg(z3))
     inverted = GammaAction(bz3.carrier, (0,), inversion_automorphism(z3))
-    identity_error = ("InvariantViolation", "identity is not well-defined on class 0: 0 != 1")
-    inverse_error = ("InvariantViolation", "inverse is not well-defined on class 1: 1 != 2")
+    identity_error = ("InvariantViolation", "identity is not well-defined on class 0: 1 != 0")
     morphisms_error = ("InvariantViolation", "induced involution on morphisms is not "
                        "well-defined on class 1: 2 != 1")
     return {
-        # equivariant, but sends each identity to the other one
+        # equivariant, but sends each identity to the other one; read off
+        # node 1, the terminal node, whose two objects land in one class and
+        # their identities in two
         "control-not-a-functor": (with_arrow(control, 2, (0, 1), (1, 0)),
                                   identity_error, identity_error),
         # a constant map: the classes merge, so the involution descends
@@ -463,7 +472,10 @@ def invalid_diagrams():
                 identity_arrow(bz3), identity_arrow(bz3),
                 EquivariantMap(GroupoidMap(bz3.carrier, bz3.carrier, (0,), (0, 2, 2)),
                                bz3, bz3))),
-            inverse_error, inverse_error),
+            # read off node 1, whose classes are its three morphisms, the
+            # result is BG(Z3) with the identity involution, and the
+            # comparison of this diagram reads as an isomorphism
+            ((0,), (0, 1, 2)), (True, (0,), (0, 1, 2))),
         "chain-not-equivariant-on-morphisms": (
             FilteredDiagram(two_chain(), (inverted, bz3), (
                 identity_arrow(inverted), identity_arrow(bz3),
@@ -494,3 +506,161 @@ def test_invalid_arrows_give_the_recorded_outcome(name):
 
     assert outcome(involution, d) == want_colimit
     assert outcome(comparison, d) == want_comparison
+
+
+# ---------------------------------------------------------------------------
+# generator arrows and terminal nodes against the all-arrows routine
+
+
+def all_arrows_colimit_groupoids(index, gpds, maps):
+    """``colimit_groupoids`` as it was before it read generators and terminal
+    nodes: classes joined along every arrow but identity maps on one node,
+    tables and composition read off every node."""
+    obj_off, mor_off = union_offsets(gpds)
+    uf_obj = UnionFind(sum(g.n_objects for g in gpds))
+    uf_mor = UnionFind(sum(g.n_morphisms for g in gpds))
+    for u in index.morphisms():
+        i, j = index.src[u], index.tgt[u]
+        f = maps[u]
+        if (i == j and f.obj_map == tuple(gpds[i].objects())
+                and f.mor_map == tuple(gpds[i].morphisms())):
+            continue  # an identity map identifies nothing
+        for x in gpds[i].objects():
+            uf_obj.union(obj_off[i] + x, obj_off[j] + f.obj_map[x])
+        for k in gpds[i].morphisms():
+            uf_mor.union(mor_off[i] + k, mor_off[j] + f.mor_map[k])
+    obj_of, n_obj = uf_obj.class_index()
+    mor_of, n_mor = uf_mor.class_index()
+    obj_cls = [tuple(obj_of[off:off + g.n_objects]) for off, g in zip(obj_off, gpds)]
+    mor_cls = [tuple(mor_of[off:off + g.n_morphisms]) for off, g in zip(mor_off, gpds)]
+    src = _descend("source", n_mor, mor_cls,
+                   [[oc[x] for x in g.src] for oc, g in zip(obj_cls, gpds)])
+    tgt = _descend("target", n_mor, mor_cls,
+                   [[oc[x] for x in g.tgt] for oc, g in zip(obj_cls, gpds)])
+    inv = _descend("inverse", n_mor, mor_cls,
+                   [[mc[k] for k in g.inv] for mc, g in zip(mor_cls, gpds)])
+    id_of = _descend("identity", n_obj, obj_cls,
+                     [[mc[k] for k in g.id_of] for mc, g in zip(mor_cls, gpds)])
+    comp = {}
+    for mc, g in zip(mor_cls, gpds):
+        for (m1, m2), m3 in g.compositions():
+            key = (mc[m1], mc[m2])
+            val = mc[m3]
+            if comp.setdefault(key, val) != val:
+                raise NotFilteredError(
+                    f"composition on classes is not well-defined at {key}",
+                    witness=key)
+    colim = FiniteGroupoid(n_obj, src, tgt, id_of, inv, comp)
+    cocones = tuple(GroupoidMap(dom=g, cod=colim, obj_map=oc, mor_map=mc)
+                    for g, oc, mc in zip(gpds, obj_cls, mor_cls))
+    return GroupoidColimit(groupoid=colim, cocones=cocones)
+
+
+def assert_same_colimit(index, gpds, maps):
+    got = colimit_groupoids(index, gpds, maps)
+    want = all_arrows_colimit_groupoids(index, gpds, maps)
+    assert got.groupoid == want.groupoid
+    assert got.cocones == want.cocones
+
+
+@pytest.mark.parametrize("shape", [_chain_diagram, _bar_power_diagram, _retract_diagram,
+                                   _fold_diagram, random_filtered_diagram])
+def test_colimit_groupoids_agrees_with_the_all_arrows_routine(shape):
+    rng = random.Random(f"all-arrows:{shape.__name__}")
+    for _ in range(12):
+        d = shape(rng)
+        assert validate_diagram(d) == []
+        for index, gpds, maps in carrier_and_fixed_point_inputs(d):
+            assert_same_colimit(index, gpds, maps)
+
+
+def test_colimit_groupoids_agrees_with_the_all_arrows_routine_off_filtered_indices():
+    # the control reads one terminal node; a diagram over a two-object
+    # discrete index has two terminal nodes and nothing to join
+    d = nonfiltered_control_diagram()
+    for index, gpds, maps in carrier_and_fixed_point_inputs(d):
+        assert_same_colimit(index, gpds, maps)
+    two = FiniteCategory(n_objects=2, src=(0, 1), tgt=(0, 1), id_of=(0, 1),
+                         comp={(0, 0): 0, (1, 1): 1})
+    g, h = build_bg(cyclic_group(3)), discrete_groupoid(2)
+    assert_same_colimit(two, [g, h], [identity_map(g), identity_map(h)])
+    co = colimit_groupoids(two, [g, h], [identity_map(g), identity_map(h)])
+    assert (co.groupoid.n_objects, co.groupoid.n_morphisms) == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# validate_diagram decides arrows on generators; on a fault it walks every
+# arrow, so its report is the all-arrows report
+
+
+def all_arrows_validate_diagram(d):
+    """``validate_diagram`` as it was before it decided arrows on generators."""
+    report = validate_category(d.index)
+    if report:
+        return report
+    c = d.index
+    if len(d.nodes) != c.n_objects or len(d.arrows) != c.n_morphisms:
+        report.append("shape: one node per index object and one map per arrow expected")
+        return report
+    report.extend(
+        f"node {i}: {line}" for i, a in enumerate(d.nodes)
+        for line in validate_gamma_action(a)
+    )
+    if report:
+        return report
+    for u in c.morphisms():
+        e = d.arrows[u]
+        if e.dom_action != d.nodes[c.src[u]]:
+            report.append(f"arrow {u}: domain is not the source node")
+            continue
+        if e.cod_action != d.nodes[c.tgt[u]]:
+            report.append(f"arrow {u}: codomain is not the target node")
+            continue
+        functor_report = validate_functor(e.map)
+        if functor_report:
+            report.extend(f"arrow {u}: {line}" for line in functor_report)
+            continue
+        w = equivariance_witness(e)
+        if w is not None:
+            report.append(f"arrow {u}: not equivariant at {w[0]} {w[1]}")
+    if report:
+        return report
+    for i in c.objects():
+        if d.arrows[c.id_of[i]].map != identity_map(d.nodes[i].carrier):
+            report.append(f"functoriality: identity arrow of object {i}")
+    for (u, v), w in c.comp.items():
+        if d.arrows[u].map.then(d.arrows[v].map) != d.arrows[w].map:
+            report.append(f"functoriality: composite ({u},{v})")
+    return report
+
+
+def broken_arrows(d, rng):
+    """Copies of d with one arrow's tables changed: reversed, one entry
+    moved to another in-range value, cut short, or out of range."""
+    for u, e in enumerate(d.arrows):
+        f = e.map
+        n, m = f.cod.n_objects, f.cod.n_morphisms
+        yield with_arrow(d, u, f.obj_map[::-1], f.mor_map[::-1])
+        k = rng.randrange(len(f.mor_map))
+        yield with_arrow(d, u, f.obj_map,
+                         f.mor_map[:k] + ((f.mor_map[k] + 1) % m,) + f.mor_map[k + 1:])
+        x = rng.randrange(len(f.obj_map))
+        yield with_arrow(d, u, f.obj_map[:x] + ((f.obj_map[x] + 1) % n,) + f.obj_map[x + 1:],
+                         f.mor_map)
+        yield with_arrow(d, u, f.obj_map, f.mor_map[:-1])
+        yield with_arrow(d, u, f.obj_map, f.mor_map[:-1] + (m,))
+
+
+def test_validate_diagram_agrees_with_the_all_arrows_report():
+    rng = random.Random("validate-diagram-differential")
+    diagrams = [shape(rng) for shape in (_chain_diagram, _bar_power_diagram,
+                                         _retract_diagram, _fold_diagram) for _ in range(3)]
+    diagrams += [nonfiltered_control_diagram(), clashing_diagram()]
+    diagrams += [d for d, _, _ in invalid_diagrams().values()]
+    faults = 0
+    for d in diagrams:
+        for case in [d, *broken_arrows(d, rng)]:
+            want = all_arrows_validate_diagram(case)
+            assert validate_diagram(case) == want
+            faults += bool(want)
+    assert faults > 300

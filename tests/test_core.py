@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grpd import presheaf
+from grpd import presheaf, suites
 from grpd.core import (
     _category_report,
     NotFreeError,
@@ -33,17 +33,26 @@ from grpd.core import (
     FiniteGroupoid,
     GroupoidMap,
 )
+from grpd.colimit import _poset_category
 from grpd.corpus import (
+    _bar_power_diagram,
+    _chain_diagram,
+    _fold_diagram,
+    _retract_diagram,
     corrupted_bg_z2,
     gamma_group_fixtures,
+    group_catalog,
+    nonfiltered_control_diagram,
     random_equivariant_fibration,
     random_equivariant_weq,
     random_gamma_action,
     random_groupoid,
+    random_site,
     small_groupoid_catalog,
     swap_corpus,
 )
 from grpd.gamma import hfp, hfp_map
+from grpd.presheaf import point_filter_category
 from grpd.groups import (
     FiniteGroup,
     GroupAction,
@@ -57,7 +66,7 @@ from grpd.groups import (
 )
 from grpd.suites import (enumerate_functors, naive_is_fibration, naive_is_weak_equivalence,
                          suite_stalk_commutation)
-from grpd.util import UnionFind, _associativity_report
+from grpd.util import UnionFind, _associativity_report, _generators
 
 
 def test_small_catalog_is_valid():
@@ -207,6 +216,73 @@ def test_associativity_of_bg_s5_is_decided_from_generators():
     assert _associativity_report(g.src, g.tgt, g.out_of, counting_each) == []
     # the triple walk reads 3 composites for each of the 120^3 triples
     assert entries[0] < 3 * 120 ** 3 // 10
+
+
+def group_generators(g):
+    rows = g.table
+    return _generators((0,) * g.order, (0,) * g.order, [range(g.order)],
+                       lambda a, bs: [rows[a][b] for b in bs], (g.identity,))
+
+
+def closure(c, arrows):
+    """Every composite of one or more of ``arrows`` in the category c."""
+    out = set(arrows)
+    todo = list(arrows)
+    while todo:
+        r = todo.pop()
+        for k in arrows:
+            if c.tgt[r] == c.src[k] and c.compose(r, k) not in out:
+                out.add(c.compose(r, k))
+                todo.append(c.compose(r, k))
+    return out
+
+
+def test_generators_of_a_group_are_never_its_identity():
+    assert group_generators(symmetric_group(6)) == [1, 2, 6, 24, 120]
+    for name, g in group_catalog().items():
+        gens = group_generators(g)
+        assert g.identity not in gens, name
+        bg = build_bg(g)
+        assert _generators(bg.src, bg.tgt, bg.out_of, bg.compose_each, bg.id_of) == gens
+        assert closure(bg, gens) | {g.identity} == set(bg.morphisms())
+
+
+def test_generators_of_a_poset_are_its_covering_relations():
+    # lexicographic numbering puts (0, 2) before (1, 2) on every chain
+    rng = random.Random("poset-generators")
+    posets = [(n, lambda i, j: i <= j) for n in range(1, 6)]
+    posets.append((4, lambda i, j: i == j or (i, j) in {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}))
+    posets.append((5, lambda i, j: i == j or j == 4 or i == 0))
+    for _ in range(20):
+        site = random_site(rng)
+        posets.append((site.n_opens, lambda i, j, site=site: site.is_leq(j, i)))
+    for n, leq in posets:
+        c, arrow_id = _poset_category(n, leq)
+        covers = {p for p in arrow_id if p[0] != p[1] and not any(
+            k not in p and leq(p[0], k) and leq(k, p[1]) for k in range(n))}
+        gens = _generators(c.src, c.tgt, c.out_of, c.compose_each, c.id_of)
+        assert {(c.src[k], c.tgt[k]) for k in gens} == covers
+
+
+def corpus_indices():
+    rng = random.Random("corpus-indices")
+    for shape in (_chain_diagram, _bar_power_diagram, _retract_diagram, _fold_diagram):
+        for _ in range(4):
+            yield shape(rng).index
+    yield nonfiltered_control_diagram().index
+    for _ in range(10):
+        site = random_site(rng)
+        for t in site.points():
+            yield point_filter_category(site, t)[0]
+
+
+def test_generators_generate_every_index_of_the_corpus():
+    for c in corpus_indices():
+        gens = _generators(c.src, c.tgt, c.out_of, c.compose_each, c.id_of)
+        assert not set(gens) & set(c.id_of)
+        assert closure(c, gens) | set(c.id_of) == set(c.morphisms())
+        # and none of them is a composite of the others
+        assert all(g not in closure(c, [k for k in gens if k != g]) for g in gens)
 
 
 @functools.cache
@@ -391,12 +467,14 @@ def test_is_weak_equivalence_agrees_with_the_hom_pair_routine():
 
 def test_the_stalk_suite_decides_functors_only(monkeypatch):
     # is_weak_equivalence and is_fibration take a functor; the stalk suite
-    # hands them the sections and stalks of random sectionwise maps
+    # hands them the sections and stalks of random sectionwise maps, the
+    # stalks of most of them from the suite itself
     taken = []
-    for name in ("is_weak_equivalence", "is_fibration"):
-        decide = getattr(presheaf, name)
-        monkeypatch.setattr(presheaf, name,
-                            lambda f, decide=decide: taken.append(f) or decide(f))
+    for module in (presheaf, suites):
+        for name in ("is_weak_equivalence", "is_fibration"):
+            decide = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda f, decide=decide: taken.append(f) or decide(f))
     passed, _ = suite_stalk_commutation(0, "small")
     assert passed and len(taken) > 50
     assert all(validate_functor(f) == [] for f in taken)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from grpd.core import (
     is_weak_equivalence,
     terminal_groupoid,
     validate_functor,
+    validate_groupoid,
 )
 from grpd.corpus import (
     constant_presheaf_action,
@@ -51,6 +53,7 @@ from grpd.presheaf import (
     validate_presheaf_gamma_action,
     validate_site,
 )
+from test_colimit import all_arrows_colimit_groupoids
 
 
 def validate_presheaf_map(f: PresheafMap) -> list[str]:
@@ -215,7 +218,8 @@ def test_validate_presheaf_catches_broken_functoriality():
 
 def test_stalk_rejects_a_non_functorial_presheaf():
     # {a,b,c} -> {a,b} -> {a} swaps the two points while {a,b,c} -> {a}
-    # keeps them, so the germs identify both points of the section at {a}
+    # keeps them: the validator rejects it, and the stalk, joined along the
+    # covering restrictions only, keeps both points of the section at {a}
     site = site_from_open_sets(("a", "b", "c"), [
         frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})])
     two = discrete_groupoid(2)
@@ -223,8 +227,10 @@ def test_stalk_rejects_a_non_functorial_presheaf():
     res[(2, 1)] = GroupoidMap(two, two, (1, 0), (1, 0))
     x = GroupoidPresheaf(site=site, sections=(two,) * 4, res=res)
     assert validate_presheaf(x) != []
-    with pytest.raises(InvariantViolation, match="least open"):
-        stalk(x, 0)
+    st = stalk(x, 0)
+    assert st.groupoid == two
+    assert [(g.obj_map, g.mor_map) for g in st.germs.values()] == [
+        ((0, 1), (0, 1)), ((1, 0), (1, 0)), ((1, 0), (1, 0))]
 
 
 def test_random_sites_and_presheaves_validate():
@@ -295,3 +301,89 @@ def test_stalk_map_agrees_with_the_per_open_reference():
         for t in f.dom.site.points():
             g = stalk_map(f, t)
             assert (g.obj_map, g.mor_map) == reference_stalk_map(f, t)
+
+
+def test_stalks_agree_with_the_all_arrows_colimit():
+    # the stalk joins classes along covering restrictions and reads the
+    # least open; the reference joins along every restriction and reads
+    # every open of the filter
+    for seed in range(12):
+        a = random_presheaf_action(random.Random(f"stalk-all-arrows:{seed}"))
+        for x in (a.presheaf, presheaf_hfp(a).presheaf):
+            for t in x.site.points():
+                cat, opens = point_filter_category(x.site, t)
+                want = all_arrows_colimit_groupoids(
+                    cat, [x.sections[u] for u in opens],
+                    [x.res_map(opens[i], opens[j]) for i, j in zip(cat.src, cat.tgt)])
+                st = stalk(x, t)
+                assert st.groupoid == want.groupoid
+                assert tuple(st.germs[u] for u in opens) == want.cocones
+
+
+def all_restrictions_validate_presheaf(x):
+    """``validate_presheaf`` as it was before it decided restrictions on
+    covering pairs."""
+    s = x.site
+    if len(x.sections) != s.n_opens:
+        return ["shape: one section per open expected"]
+    report = [f"section {u}: {line}" for u, g in enumerate(x.sections)
+              for line in validate_groupoid(g)]
+    if report:
+        return report
+    pairs = set(s.comparable_pairs())
+    if set(x.res) != pairs:
+        report.append("shape: restriction keys must be the strictly comparable pairs")
+        return report
+    for (u, v), f in x.res.items():
+        if f.dom != x.sections[u] or f.cod != x.sections[v]:
+            report.append(f"restriction ({u},{v}): wrong endpoints")
+            continue
+        report.extend(f"restriction ({u},{v}): {line}" for line in validate_functor(f))
+    if report:
+        return report
+    for (u, v) in pairs:
+        for w in s.opens():
+            if w != v and w != u and s.is_leq(w, v):
+                if x.res[(u, v)].then(x.res[(v, w)]) != x.res[(u, w)]:
+                    report.append(f"functoriality: ({u},{v},{w})")
+    return report
+
+
+def broken_restrictions(x, rng):
+    """Copies of x with one restriction's tables changed: reversed, one entry
+    moved to another in-range value, cut short, out of range, or with the
+    other endpoints."""
+    for (u, v), f in x.res.items():
+        n, m = f.cod.n_objects, f.cod.n_morphisms
+        k = rng.randrange(len(f.mor_map))
+        y = rng.randrange(len(f.obj_map))
+        for tables in ((f.obj_map[::-1], f.mor_map[::-1]),
+                       (f.obj_map, f.mor_map[:k] + ((f.mor_map[k] + 1) % m,)
+                        + f.mor_map[k + 1:]),
+                       (f.obj_map[:y] + ((f.obj_map[y] + 1) % n,) + f.obj_map[y + 1:],
+                        f.mor_map),
+                       (f.obj_map, f.mor_map[:-1]),
+                       (f.obj_map, f.mor_map[:-1] + (m,))):
+            yield replace(x, res={**x.res, (u, v): GroupoidMap(f.dom, f.cod, *tables)})
+        yield replace(x, res={**x.res, (u, v): GroupoidMap(f.cod, f.dom, f.obj_map,
+                                                          f.mor_map)})
+
+
+def test_validate_presheaf_agrees_with_the_all_restrictions_report():
+    rng = random.Random("validate-presheaf-differential")
+    z4 = build_bg(cyclic_group(4))
+    ident = GroupoidMap(z4, z4, (0,), (0, 1, 2, 3))
+    inv = GroupoidMap(z4, z4, (0,), (0, 3, 2, 1))
+    presheaves = [GroupoidPresheaf(site=sierpinski_site(), sections=(z4, z4, z4),
+                                   res={(1, 0): ident, (2, 0): inv, (2, 1): ident})]
+    presheaves += [random_presheaf_action(rng).presheaf for _ in range(6)]
+    chain = site_from_open_sets(("a", "b", "c"), [
+        frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})])
+    presheaves.append(constant_presheaf(chain, z4))
+    faults = 0
+    for x in presheaves:
+        for case in [x, *broken_restrictions(x, rng)]:
+            want = all_restrictions_validate_presheaf(case)
+            assert validate_presheaf(case) == want
+            faults += bool(want)
+    assert faults > 300

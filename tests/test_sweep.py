@@ -1,7 +1,8 @@
 """Exhaustive sweep over the small catalog: every involution of every groupoid
 of ``small_groupoid_catalog()`` and every equivariant map between two of
 them, decided by the fast predicates, by the naive oracles and, for the
-colimit comparison, by the construction it replaced."""
+colimit comparison and the colimit itself, by the constructions they
+replaced."""
 
 from functools import cache
 
@@ -12,6 +13,7 @@ from grpd.corpus import small_groupoid_catalog
 from grpd.gamma import (EquivariantMap, GammaAction, equivariance_witness, hfp, hfp_map,
                         validate_gamma_action)
 from grpd.suites import enumerate_functors, naive_is_fibration, naive_is_weak_equivalence
+from test_colimit import assert_same_colimit
 
 
 @cache
@@ -120,3 +122,16 @@ def test_comparison_is_an_isomorphism_on_every_equivariant_map():
         assert c.map.cod is c.rhs.groupoid
         assert (c.map.obj_map, c.map.mor_map) == reference_comparison_map(
             d, c.colimit, c.rhs, [fixed[id(a)], fixed[id(b)]])
+
+
+def test_colimit_groupoids_agrees_with_the_all_arrows_routine_on_every_equivariant_map():
+    index, _ = _poset_category(2, lambda i, j: i <= j)
+    fixed = {id(a): hfp(a) for invs in involutions_by_carrier() for a in invs}
+    for e in equivariant_maps():
+        a, b = e.dom_action, e.cod_action
+        fa, fb = fixed[id(a)], fixed[id(b)]
+        assert_same_colimit(index, [a.carrier, b.carrier],
+                            [identity_map(a.carrier), e.map, identity_map(b.carrier)])
+        assert_same_colimit(index, [fa.groupoid, fb.groupoid],
+                            [identity_map(fa.groupoid), hfp_map(e, fa, fb),
+                             identity_map(fb.groupoid)])
