@@ -57,15 +57,18 @@ def _poset_category(n: int, leq) -> tuple[FiniteCategory, dict]:
     """The preorder on ``range(n)`` with an arrow i -> j when ``leq(i, j)``.
 
     Arrows are numbered by (i, j) in lexicographic order; also returns the
-    map from (i, j) to its arrow id.
+    map from (i, j) to its arrow id.  Each arrow is composed with the arrows
+    leaving its target, taken in arrow order.
     """
     pairs = [(i, j) for i in range(n) for j in range(n) if leq(i, j)]
     arrow_id = {p: k for k, p in enumerate(pairs)}
+    leaving = [[] for _ in range(n)]
+    for (j, k) in pairs:
+        leaving[j].append(k)
     comp = {}
-    for (i, j) in pairs:
-        for (j2, k) in pairs:
-            if j == j2:
-                comp[(arrow_id[(i, j)], arrow_id[(j2, k)])] = arrow_id[(i, k)]
+    for a, (i, j) in enumerate(pairs):
+        for k in leaving[j]:
+            comp[(a, arrow_id[(j, k)])] = arrow_id[(i, k)]
     cat = FiniteCategory(
         n_objects=n,
         src=tuple(p[0] for p in pairs),

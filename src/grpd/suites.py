@@ -436,11 +436,35 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = 0, size: str = "full") -> SuiteResult:
-    if name not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+# The order ``run_all`` hands the suites to its workers: longest first, so
+# the longest suite starts at once and the short ones fill in beside it.
+# Measured (seed 0, full, in process, median of 5): stalk-commutation 0.46 s,
+# hfp-preservation 0.29 s, colimit-commutation 0.23 s, iota-fibration 0.08 s,
+# oracle-agreement 0.05 s, the other three under 0.02 s each, 1.12 s in all.
+# On two workers this order finishes in about 0.56 s; suite order, which
+# starts stalk-commutation seventh, in about 0.74 s.
+_LONGEST_FIRST = (
+    "stalk-commutation",
+    "hfp-preservation",
+    "colimit-commutation",
+    "iota-fibration",
+    "oracle-agreement",
+    "swap-cardinality",
+    "bg-decomposition",
+    "parameter-fibration",
+)
+
+
+def _check_size(size: str) -> None:
     if size not in _COUNTS:
         raise KeyError(f"unknown size {size!r}; known: full, small")
+
+
+def run_suite(name: str, seed: int = 0, size: str = "full") -> SuiteResult:
+    """Run one suite in the calling process."""
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    _check_size(size)
     t0 = time.perf_counter()
     passed, lines = _SUITES[name](seed, size)
     return SuiteResult(name=name, passed=passed, lines=tuple(lines),
@@ -448,4 +472,27 @@ def run_suite(name: str, seed: int = 0, size: str = "full") -> SuiteResult:
 
 
 def run_all(seed: int = 0, size: str = "full") -> list[SuiteResult]:
-    return [run_suite(name, seed, size) for name in SUITE_NAMES]
+    """Run every suite, one worker process per usable CPU (at most one per
+    suite), and return the results in ``SUITE_NAMES`` order.
+
+    Each suite is a pure function of ``(seed, size)``, so the results equal
+    the in-process ones.  The workers are joined before this returns, also
+    when a suite raises; its exception reaches the caller as its own type.
+    """
+    # imported here: at module top they would slow every grpd command's start
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    _check_size(size)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    # forked workers inherit the imported package instead of importing it
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=min(len(SUITE_NAMES), cpus),
+                             mp_context=multiprocessing.get_context(method)) as pool:
+        futures = {name: pool.submit(run_suite, name, seed, size)
+                   for name in _LONGEST_FIRST}
+        return [futures[name].result() for name in SUITE_NAMES]

@@ -10,6 +10,7 @@ from grpd.colimit import (
     NotFilteredError,
     _descend,
     _induced_map,
+    _poset_category,
     colimit,
     colimit_groupoids,
     filtered_witness,
@@ -30,7 +31,7 @@ from grpd.core import (
 )
 from grpd.corpus import (_bar_power_diagram, _chain_diagram, _fold_diagram, _retract_diagram,
                          nonfiltered_control_diagram, random_filtered_diagram,
-                         random_presheaf_action)
+                         random_presheaf_action, random_site)
 from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, equivariance_witness,
                         hfp, hfp_map, set_as_groupoid, trivial_action, validate_gamma_action)
 from grpd.groups import cyclic_group, inversion_automorphism
@@ -51,6 +52,37 @@ def two_chain():
 
 def identity_arrow(a):
     return EquivariantMap(identity_map(a.carrier), a, a)
+
+
+def all_pairs_poset_comp(n, leq):
+    """The composition of ``_poset_category``, found by scanning every pair
+    of arrows for a shared middle object."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if leq(i, j)]
+    arrow_id = {p: k for k, p in enumerate(pairs)}
+    comp = {}
+    for (i, j) in pairs:
+        for (j2, k) in pairs:
+            if j == j2:
+                comp[(arrow_id[(i, j)], arrow_id[(j2, k)])] = arrow_id[(i, k)]
+    return comp
+
+
+def test_poset_category_agrees_with_the_all_pairs_composition():
+    # the same entries in the same insertion order, which fixes the line
+    # order of the functoriality reports that walk ``comp``
+    rng = random.Random("poset-comp")
+    posets = [(n, lambda i, j: i <= j) for n in range(6)]
+    posets.append((4, lambda i, j: i == j or (i, j) in {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}))
+    for _ in range(200):
+        site = random_site(rng)
+        for t in site.points():
+            opens = site.filter_opens(t)
+            posets.append((len(opens), lambda i, j, s=site, o=opens: s.is_leq(o[j], o[i])))
+    for n, leq in posets:
+        cat, _ = _poset_category(n, leq)
+        want = all_pairs_poset_comp(n, leq)
+        assert list(cat.comp.items()) == list(want.items())
+        assert validate_category(cat) == []
 
 
 def test_two_chain_is_a_filtered_category():

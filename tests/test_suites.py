@@ -1,11 +1,17 @@
+import concurrent.futures
+import io
 import itertools
+import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
 import grpd.suites
-from grpd.core import GroupoidMap, validate_functor
+from grpd import cli
+from grpd.core import GroupoidMap, InvariantViolation, validate_functor
 from grpd.corpus import small_groupoid_catalog
-from grpd.suites import enumerate_functors, run_suite
+from grpd.suites import SUITE_NAMES, enumerate_functors, run_all, run_suite
 
 
 def reference_enumerate_functors(a, b, cap=50000):
@@ -58,3 +64,56 @@ def test_oracle_validates_only_the_functors_it_yields(monkeypatch):
     assert result.passed
     assert result.lines[0].startswith("functors enumerated: 792;")
     assert len(calls) == 792
+
+
+def _outcomes(results):
+    return [(r.name, r.passed, r.lines) for r in results]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_all_equals_the_in_process_runs_and_leaves_no_worker(seed, monkeypatch):
+    submitted = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def recording(pool, fn, *args):
+        submitted.append(args[0])
+        return submit(pool, fn, *args)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording)
+    got = run_all(seed, "small")
+    assert multiprocessing.active_children() == []
+    assert _outcomes(got) == _outcomes(run_suite(n, seed, "small") for n in SUITE_NAMES)
+    assert sorted(submitted) == sorted(SUITE_NAMES)
+    assert len(submitted) == len(SUITE_NAMES)
+    assert submitted[0] == "stalk-commutation"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="only forked workers inherit the patched suite")
+def test_a_suite_that_raises_fails_the_check_and_leaves_no_worker(monkeypatch, capsys):
+    def broken(seed, size):
+        raise InvariantViolation("broken suite")
+
+    monkeypatch.setitem(grpd.suites._SUITES, "swap-cardinality", broken)
+    out = io.StringIO()
+    assert cli.run(["check", "--size", "small"], stdout=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "error: broken suite\n"
+    assert multiprocessing.active_children() == []
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
+    with pytest.raises(KeyError, match="unknown size 'huge'"):
+        run_all(0, "huge")
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # run_all imports them when it runs; at module top they would slow the
+    # start of every grpd command
+    code = ("import sys, grpd.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
