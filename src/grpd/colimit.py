@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 from .core import (FiniteCategory, FiniteGroupoid, GroupoidMap, InvariantViolation,
                    _map_shape_report, identity_map, union_offsets, validate_category,
                    validate_functor)
-from .gamma import (EquivariantMap, GammaAction, HomotopyFixedPoints, equivariance_witness,
-                    hfp, hfp_map, validate_gamma_action)
+from .gamma import (EquivariantMap, GammaAction, HomotopyFixedPoints, _hfp_each,
+                    equivariance_witness, hfp, hfp_map, validate_gamma_action)
 from .util import UnionFind, _generators
 
 __all__ = [
@@ -345,14 +345,15 @@ def hfp_colimit_comparison(d: FilteredDiagram, require_filtered: bool = True,
     objects and on morphisms.
 
     ``node_fps[i]``, if given, is ``hfp`` of node i, already computed by the
-    caller, as for ``hfp_map``.  The canonical map is read through the
+    caller, as for ``hfp_map``; otherwise each distinct node object's fixed
+    points are computed once.  The canonical map is read through the
     cocones of both colimits (``_induced_map``); on a diagram of equivariant
     functors every class lands on one fixed point, and a class that lands
     apart raises ``InvariantViolation``.
     """
     co = colimit(d, require_filtered=require_filtered)
     rhs = hfp(co.action)
-    fps = [hfp(a) for a in d.nodes] if node_fps is None else node_fps
+    fps = _hfp_each(d.nodes) if node_fps is None else node_fps
     arrow_maps = [
         hfp_map(d.arrows[u], fps[d.index.src[u]], fps[d.index.tgt[u]])
         for u in d.index.morphisms()

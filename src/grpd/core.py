@@ -8,13 +8,19 @@ categories and hand-written fixtures) or as a row rule computed from the
 structure (the action groupoids, products and disjoint unions built here,
 and the fixed points of ``grpd.gamma``), which composes one arrow with a
 whole row of arrows out of its target; ``comp``, the full table, is built
-from a rule on first access.  Everything is finite and explicit; validation
-returns reports rather than trusting constructors.
+from a rule on first access.  A builder that knows the arrows out of each
+object supplies them as rows (an action groupoid's and a fixed point
+groupoid's are ranges); every other structure indexes ``src`` on first
+access.  Everything is finite and explicit; validation returns reports
+rather than trusting constructors.
 
 A groupoid is a category whose arrows are invertible: ``FiniteGroupoid``
 extends ``FiniteCategory`` by its inverse table and labels, and
 ``validate_groupoid`` and ``validate_category`` share one checker,
-``_category_report``.
+``_category_report``.  Labels, like composition, come as a table or as a
+rule: the builders here pass rules, run once on the first read of
+``obj_labels`` or ``mor_labels``, so a groupoid whose labels nobody reads
+never builds its strings.
 """
 
 from __future__ import annotations
@@ -93,13 +99,14 @@ class FiniteCategory:
     composable pair a row at a time without building anything; the ``comp``
     property is the full table, built from that walk on first access and
     read by ``compose_each`` from then on, since a lookup is faster than a
-    nested rule.  ``out_of``, the morphisms out of each object, is indexed
-    once per instance; ``hom`` filters it on target.
+    nested rule.  ``out_of``, the morphisms out of each object, is the
+    ``out_of`` argument if a builder supplies it, one row of increasing ids
+    per object, else indexed once per instance; ``hom`` filters it on target.
     """
 
     __slots__ = ("n_objects", "src", "tgt", "id_of", "compose_each", "_comp", "_out_of")
 
-    def __init__(self, n_objects, src, tgt, id_of, comp):
+    def __init__(self, n_objects, src, tgt, id_of, comp, out_of=None):
         self.n_objects = int(n_objects)
         self.src = tuple(src)
         self.tgt = tuple(tgt)
@@ -109,7 +116,7 @@ class FiniteCategory:
             self.compose_each = comp
         else:
             self._use_table(dict(comp))
-        self._out_of = None
+        self._out_of = None if out_of is None else tuple(out_of)
 
     def _use_table(self, table: dict) -> None:
         self._comp = table
@@ -149,7 +156,7 @@ class FiniteCategory:
         return range(self.n_morphisms)
 
     @property
-    def out_of(self) -> tuple[tuple[int, ...], ...]:
+    def out_of(self) -> tuple[Sequence[int], ...]:
         """The morphisms out of each object, in increasing order."""
         if self._out_of is None:
             out_of = [[] for _ in self.objects()]
@@ -182,16 +189,35 @@ class FiniteCategory:
 
 class FiniteGroupoid(FiniteCategory):
     """A finite category whose morphisms are invertible: ``inv[m]`` is the
-    inverse of m.  Labels are optional and never take part in equality."""
+    inverse of m.  Labels are optional and never take part in equality.
 
-    __slots__ = ("inv", "obj_labels", "mor_labels")
+    ``obj_labels`` and ``mor_labels`` are each given, like ``comp``, as a
+    table or as a rule, a callable of no arguments that returns the table;
+    a rule runs once, on the first read, and its table replaces it.  A rule
+    should keep alive only the label sources of its inputs (``_label_rules``),
+    never a groupoid that would otherwise be freed.
+    """
+
+    __slots__ = ("inv", "_obj_labels", "_mor_labels")
 
     def __init__(self, n_objects, src, tgt, id_of, inv, comp,
-                 obj_labels=None, mor_labels=None):
-        super().__init__(n_objects, src, tgt, id_of, comp)
+                 obj_labels=None, mor_labels=None, out_of=None):
+        super().__init__(n_objects, src, tgt, id_of, comp, out_of)
         self.inv = tuple(inv)
-        self.obj_labels = None if obj_labels is None else tuple(obj_labels)
-        self.mor_labels = None if mor_labels is None else tuple(mor_labels)
+        self._obj_labels = _label_source(obj_labels)
+        self._mor_labels = _label_source(mor_labels)
+
+    @property
+    def obj_labels(self) -> Optional[tuple[str, ...]]:
+        if callable(self._obj_labels):
+            self._obj_labels = tuple(self._obj_labels())
+        return self._obj_labels
+
+    @property
+    def mor_labels(self) -> Optional[tuple[str, ...]]:
+        if callable(self._mor_labels):
+            self._mor_labels = tuple(self._mor_labels())
+        return self._mor_labels
 
     def aut(self, x: int) -> tuple[int, ...]:
         return self.hom(x, x)
@@ -208,6 +234,25 @@ class FiniteGroupoid(FiniteCategory):
 
     def _tables(self) -> tuple:
         return super()._tables() + (self.inv,)
+
+
+def _label_source(labels):
+    """A label argument as stored: None, a rule, or a table as a tuple."""
+    return labels if labels is None or callable(labels) else tuple(labels)
+
+
+def _label_rules(g: FiniteGroupoid):
+    """Rules for the object and the morphism labels of g, one per id as
+    ``obj_label`` and ``mor_label`` read them: numbered where g has no
+    labels, and a short table raises ``IndexError``.  A rule of g is used
+    as it is, since the builders' rules give one label per id.  They keep
+    g's label sources alive, not g, and store no table on g."""
+    def rule(source, prefix, n):
+        if source is None:
+            return lambda: [f"{prefix}{i}" for i in range(n)]
+        return source if callable(source) else lambda: [source[i] for i in range(n)]
+    return (rule(g._obj_labels, "x", g.n_objects),
+            rule(g._mor_labels, "m", g.n_morphisms))
 
 
 def _category_report(c: FiniteCategory, inv=None) -> list[str]:
@@ -380,30 +425,37 @@ def action_mor_parts(a: GroupAction, m: int) -> tuple[int, int]:
 def build_action_groupoid(a: GroupAction) -> FiniteGroupoid:
     """The action groupoid: objects are points, morphisms are pairs (g, x).
 
-    The morphism (g, x) runs from x to g.x and is encoded as g * n_points + x.
-    Composition is the rule (g, x) then (h, g.x) is (hg, x): a row of
-    composites with (g, x) reads column g of the group table.
+    The morphism (g, x) runs from x to g.x and is encoded as g * n_points + x,
+    so the arrows out of x are a range with step n_points.  Composition is
+    the rule (g, x) then (h, g.x) is (hg, x): a row of composites with
+    (g, x) reads column g of the group table.  Labels are a rule, "g.p" for
+    an arrow, from the group's and the action's label tables.
     """
     grp = a.group
     nx = a.n_points
-    elem = [g for g in grp.elements() for _ in range(nx)]
-    src = list(range(nx)) * grp.order
-    tgt = [y for row in a.act_table for y in row]
+    src = tuple(range(nx)) * grp.order
+    tgt = tuple(chain.from_iterable(a.act_table))
     id_of = tuple(action_mor(a, grp.identity, x) for x in range(nx))
-    inv = [g_inv * nx + y for g_inv, row in zip(grp.inv_table, a.act_table) for y in row]
-    point_labels = [a.point_label(x) for x in range(nx)]
-    mor_labels = [f"{g}.{p}" for g in map(grp.label, grp.elements()) for p in point_labels]
-    # column[g][h] is the id of (hg, 0)
-    column = [[hg * nx for hg in col] for col in zip(*grp.table)]
+    inv = tuple(g_inv * nx + y for g_inv, row in zip(grp.inv_table, a.act_table) for y in row)
+    column = tuple(zip(*grp.table))  # column[g][h] is hg
 
     def compose_each(m1, ms):
-        col, x = column[elem[m1]], src[m1]
-        return [col[elem[m2]] + x for m2 in ms]
+        g, x = divmod(m1, nx)
+        col = column[g]
+        return [col[m2 // nx] * nx + x for m2 in ms]
+
+    def obj_labels():
+        return [a.point_label(x) for x in range(nx)]
+
+    def mor_labels():
+        points = obj_labels()
+        return [f"{g}.{p}" for g in map(grp.label, grp.elements()) for p in points]
 
     return FiniteGroupoid(
         nx, src, tgt, id_of, inv, compose_each,
-        obj_labels=point_labels,
+        obj_labels=obj_labels,
         mor_labels=mor_labels,
+        out_of=[range(x, len(src), nx) for x in range(nx)],
     )
 
 
@@ -555,7 +607,6 @@ def disjoint_union(gs: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
     row is the summand's row."""
     obj_off, mor_off = union_offsets(gs)
     src, tgt, id_of, inv, summand = [], [], [], [], []
-    obj_labels, mor_labels = [], []
     for i, g in enumerate(gs):
         oo, mo = obj_off[i], mor_off[i]
         src.extend(oo + x for x in g.src)
@@ -563,9 +614,14 @@ def disjoint_union(gs: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
         id_of.extend(mo + k for k in g.id_of)
         inv.extend(mo + k for k in g.inv)
         summand.extend([i] * g.n_morphisms)
-        obj_labels.extend(g.obj_label(x) for x in g.objects())
-        mor_labels.extend(g.mor_label(k) for k in g.morphisms())
     rows = [g.compose_each for g in gs]
+    label_rules = [_label_rules(g) for g in gs]
+
+    def obj_labels():
+        return [label for objs, _ in label_rules for label in objs()]
+
+    def mor_labels():
+        return [label for _, mors in label_rules for label in mors()]
 
     def compose_each(m1, ms):
         i = summand[m1]
@@ -612,10 +668,16 @@ def product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
         return [a * nm + b for a, b in zip(g_each(a1, [m2 // nm for m2 in ms]),
                                            h_each(b1, [m2 % nm for m2 in ms]))]
 
-    obj_labels = [f"({g.obj_label(x)},{h.obj_label(y)})"
-                  for x in g.objects() for y in h.objects()]
-    mor_labels = [f"({g.mor_label(m)},{h.mor_label(k)})"
-                  for m in g.morphisms() for k in h.morphisms()]
+    (g_objs, g_mors), (h_objs, h_mors) = _label_rules(g), _label_rules(h)
+
+    def obj_labels():
+        hs = h_objs()
+        return [f"({a},{b})" for a in g_objs() for b in hs]
+
+    def mor_labels():
+        hs = h_mors()
+        return [f"({a},{b})" for a in g_mors() for b in hs]
+
     return FiniteGroupoid(g.n_objects * no, src, tgt, id_of, inv, compose_each,
                           obj_labels=obj_labels, mor_labels=mor_labels)
 

@@ -20,6 +20,7 @@ from .core import (
     FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
+    _label_rules,
     _stars,
     discrete_groupoid,
     disjoint_union,
@@ -188,21 +189,21 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     pair would fail, so completeness rests on ``validate_gamma_action``,
     which every compute command runs first.
 
-    A bar table of the wrong length or with an entry out of range also
-    raises ``InvariantViolation``.  Bar need not be a functor, so each
+    A bar or inv table of the wrong length or with an entry out of range
+    also raises ``InvariantViolation``.  Bar need not be a functor, so each
     bar(alpha) is checked to leave the target of phi before its row is read.
     """
     g = a.carrier
     each, bar_mor = g.compose_each, a.bar_mor
-    g_tgt, g_inv = g.tgt, g.inv
+    g_tgt, g_inv, n = g.tgt, g.inv, g.n_morphisms
     for name, table, size in (("bar_obj", a.bar_obj, g.n_objects),
-                              ("bar_mor", bar_mor, g.n_morphisms)):
+                              ("bar_mor", bar_mor, n), ("inv", g_inv, n)):
         if len(table) != size:
             raise InvariantViolation(f"{name} has {len(table)} entries, expected {size}")
         if table and not 0 <= min(table) <= max(table) < size:
             raise InvariantViolation(f"{name} has an entry out of range")
-    objs = [HfpObject(x, phi) for x, bar_x in enumerate(a.bar_obj) for phi in g.out_of[x]
-            if g_tgt[phi] == bar_x and bar_mor[phi] == g_inv[phi]]
+    objs = tuple(HfpObject(x, phi) for x, bar_x in enumerate(a.bar_obj) for phi in g.out_of[x]
+                 if g_tgt[phi] == bar_x and bar_mor[phi] == g_inv[phi])
     obj_index = {(o.base, o.phi): i for i, o in enumerate(objs)}
 
     fixed_over = {}  # base -> [(j, phi)] in object order
@@ -211,56 +212,75 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     # between[x]: the arrows from x to a base, by target and then id
     between = {x: [alpha for alpha in sorted(g.out_of[x], key=g_tgt.__getitem__)
                    if g_tgt[alpha] in fixed_over] for x in fixed_over}
-    src, tgt, underlying = [], [], []
+    src, tgt, underlying, starts = [], [], [], []
     lifts = [{} for _ in objs]
     try:
-        # land[(alpha, alpha then phi1)] is the fixed point (y, phi1), read off
-        # one row per fixed point: that composite is the inverse of inv(phi1)
-        # then inv(alpha), and inv(alpha) runs over the arrows from y to a base.
-        # twice[key] is the second fixed point a key reaches, if any.
+        # land[alpha * n + (alpha then phi1)] is the fixed point (y, phi1), read
+        # off one row per fixed point: that composite is the inverse of
+        # inv(phi1) then inv(alpha), and inv(alpha) runs over the arrows from y
+        # to a base.  twice[key] is the second fixed point a key reaches, if any.
+        # A key is a pair of arrows packed into one int; inv is in range, and a
+        # composite out of range gets key -1, which no fixed point reaches.
         land, twice = {}, {}
         for y, fixed in fixed_over.items():
             bs = between[y]
+            inv_bs = [g_inv[b] * n for b in bs]
             for j, phi1 in fixed:
                 back = g_inv[phi1]
                 if g_tgt[back] != y:
                     raise InvariantViolation(f"inv({phi1}) does not return to {y}: "
                                              "the carrier is not a groupoid")
-                for b, c in zip(bs, each(back, bs)):
-                    key = (g_inv[b], g_inv[c])
+                for p, c in zip(inv_bs, each(back, bs)):
+                    key = p + g_inv[c]
                     if land.setdefault(key, j) != j:
                         twice.setdefault(key, j)
         for i, o in enumerate(objs):
+            starts.append(len(src))
             alphas = between[o.base]
             bars = [bar_mor[alpha] for alpha in alphas]
             y = g_tgt[o.phi]
             for beta in bars:
                 if g.src[beta] != y:
                     raise KeyError((o.phi, beta))
-            keys = list(zip(alphas, each(o.phi, bars)))
-            clash = [(twice[key], key[0]) for key in keys if key in twice]
+            composites = each(o.phi, bars)
+            keys = [alpha * n + c for alpha, c in zip(alphas, composites)]
+            if composites and not 0 <= min(composites) <= max(composites) < n:
+                keys = [k if 0 <= c < n else -1 for k, c in zip(keys, composites)]
+            clash = [(twice[key], alpha) for alpha, key in zip(alphas, keys) if key in twice]
             if clash:  # as an arrow's second fixed point turns up in (j, alpha) order
                 raise InvariantViolation(f"arrow {min(clash)[1]} out of fixed point {i} "
                                          "reaches two fixed points: the carrier "
                                          "is not a groupoid")
             # arrows are numbered by source, target, underlying
-            for j, alpha in sorted([(land[key], key[0]) for key in keys if key in land]):
+            for j, alpha in sorted([(land[key], alpha) for alpha, key in zip(alphas, keys)
+                                    if key in land]):
                 lifts[i][alpha] = len(src)
                 src.append(i)
                 tgt.append(j)
                 underlying.append(alpha)
+        starts.append(len(src))
+        src, tgt, underlying = tuple(src), tuple(tgt), tuple(underlying)
         id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
-        inv = [lifts[tgt[m]][g.inv[underlying[m]]] for m in range(len(src))]
+        inv = tuple(lifts[tgt[m]][g_inv[underlying[m]]] for m in range(len(src)))
         del land, twice, between  # the scan's tables, released before the closure check
 
         def compose_fp(m1, ms):
             return list(map(lifts[src[m1]].__getitem__,
                             each(underlying[m1], [underlying[m2] for m2 in ms])))
 
+        carrier_objs, carrier_mors = _label_rules(g)
+
+        def obj_labels():
+            xs, ms = carrier_objs(), carrier_mors()
+            return [f"({xs[o.base]},{ms[o.phi]})" for o in objs]
+
+        def mor_labels():
+            return list(map(carrier_mors().__getitem__, underlying))
+
         groupoid = FiniteGroupoid(
             len(objs), src, tgt, id_of, inv, compose_fp,
-            obj_labels=[f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in objs],
-            mor_labels=[g.mor_label(k) for k in underlying],
+            obj_labels=obj_labels, mor_labels=mor_labels,
+            out_of=map(range, starts, starts[1:]),
         )
         for r, star in _stars(groupoid):
             back = [inv[k] for x, k in star.items() if x != r]
@@ -277,8 +297,17 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     except KeyError as exc:
         raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
                                  "the carrier is not a groupoid") from exc
-    return HomotopyFixedPoints(a, groupoid, tuple(objs), tuple(underlying),
-                               obj_index, lifts)
+    return HomotopyFixedPoints(a, groupoid, objs, underlying, obj_index, lifts)
+
+
+def _hfp_each(actions: Sequence[GammaAction]) -> list[HomotopyFixedPoints]:
+    """``hfp`` of each action, computed once per action object: a site or a
+    diagram may repeat one action.  Nothing is kept after the call."""
+    fps = {}
+    for a in actions:
+        if id(a) not in fps:
+            fps[id(a)] = hfp(a)
+    return [fps[id(a)] for a in actions]
 
 
 @dataclass(frozen=True)
@@ -308,7 +337,8 @@ def hfp_map(e: EquivariantMap,
     """The induced map on homotopy fixed points.
 
     Precomputed fixed points may be passed to avoid recomputation; they must
-    come from ``hfp`` of the corresponding actions.
+    come from ``hfp`` of the corresponding actions.  An endomorphism's fixed
+    points are computed once.
     """
     w = equivariance_witness(e)
     if w is not None:
@@ -316,7 +346,7 @@ def hfp_map(e: EquivariantMap,
     if dom_fp is None:
         dom_fp = hfp(e.dom_action)
     if cod_fp is None:
-        cod_fp = hfp(e.cod_action)
+        cod_fp = dom_fp if e.cod_action is e.dom_action else hfp(e.cod_action)
     f = e.map
     obj_map = tuple(
         cod_fp.object_id(f.obj_map[o.base], f.mor_map[o.phi]) for o in dom_fp.objects

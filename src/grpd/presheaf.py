@@ -42,9 +42,9 @@ from .gamma import (
     EquivariantMap,
     GammaAction,
     HomotopyFixedPoints,
+    _hfp_each,
     _involution_report,
     equivariance_witness,
-    hfp,
     hfp_map,
 )
 
@@ -143,10 +143,13 @@ def validate_site(s: FiniteSite) -> list[str]:
         report.append("bounds: no top open")
     if not any(all(s.is_leq(b, u) for u in s.opens()) for b in s.opens()):
         report.append("bounds: no bottom open")
+    # on a poset, the meet of u and v is the w below both whose down-set is
+    # everything below both
+    down = [frozenset(w for w in s.opens() if s.is_leq(w, u)) for u in s.opens()]
     for u in s.opens():
         for v in s.opens():
-            lower = [w for w in s.opens() if s.is_leq(w, u) and s.is_leq(w, v)]
-            if not any(all(s.is_leq(x, w) for x in lower) for w in lower):
+            lower = down[u] & down[v]
+            if not any(down[w] == lower for w in lower):
                 report.append(f"meets: opens {u} and {v} have no meet")
     for t in s.points():
         if not 0 <= s.point_open[t] < n:
@@ -421,10 +424,11 @@ class PresheafHfp:
 
 
 def presheaf_hfp(a: PresheafGammaAction) -> PresheafHfp:
-    """Apply homotopy fixed points open by open; restrictions are the induced
-    maps, and the forgetful map is a map of presheaves."""
+    """Apply homotopy fixed points open by open, once per distinct involution
+    object; restrictions are the induced maps, and the forgetful map is a
+    map of presheaves."""
     x = a.presheaf
-    fps = tuple(hfp(a.at[u]) for u in x.site.opens())
+    fps = tuple(_hfp_each([a.at[u] for u in x.site.opens()]))
     sections = tuple(fp.groupoid for fp in fps)
     res = {}
     for (u, v) in x.site.comparable_pairs():

@@ -70,3 +70,29 @@ def test_only_the_colimit_and_the_induced_map_descend():
                        for node in ast.walk(func) if descends(node))
     assert calls == sorted(allowed)
     assert {name for name, _ in calls} == {"colimit.py"} and len(calls) == 6
+
+
+def test_only_the_named_functions_read_labels():
+    # the builders pass label rules, so a groupoid builds its label strings
+    # only when one of these reads them; a new reader has to be added here
+    names = {"obj_labels", "mor_labels", "obj_label", "mor_label", "_obj_labels", "_mor_labels"}
+    readers = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+            else:
+                if (isinstance(child, ast.Attribute) and child.attr in names
+                        and isinstance(child.ctx, ast.Load)):
+                    readers.add(".".join(scope))
+                walk(child, scope)
+
+    for path in sorted(Path(grpd.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), (path.stem,))
+    assert readers == {
+        "core.FiniteGroupoid.obj_labels", "core.FiniteGroupoid.mor_labels",
+        "core.FiniteGroupoid.obj_label", "core.FiniteGroupoid.mor_label",
+        "core._label_rules", "core._label_report", "core.relabel",
+        "core.automorphism_group", "jsonio._dump_groupoid", "jsonio.to_dot",
+    }

@@ -12,6 +12,7 @@ import grpd
 
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
+    FiniteGroupoid,
     InvariantViolation,
     build_action_groupoid,
     build_bg,
@@ -231,6 +232,31 @@ def test_hfp_rejects_malformed_bar_tables(field, edit, message):
         hfp(replace(a, **{field: edit(getattr(a, field))}))
 
 
+def test_hfp_rejects_an_inv_table_of_the_wrong_shape():
+    # the scan packs a pair of arrows into one int, which needs inv in range
+    a = eg_gamma_action(group_catalog()["S3"], tuple(range(6)))
+    g = a.carrier
+    for inv, message in ((g.inv[:-1], "inv has 35 entries, expected 36"),
+                         ((36,) + g.inv[1:], "inv has an entry out of range")):
+        bent = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, inv, g.compose_each)
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            hfp(replace(a, carrier=bent))
+
+
+def test_a_composite_out_of_range_lifts_no_arrow():
+    # the scan keys the pair (alpha, c) as alpha * n + c.  Here the
+    # identity's composite with arrow 1 is moved to -2, so that alpha = 2
+    # would key as 2 * 4 - 2 = 1 * 4 + 2, the key of a pair the first rows
+    # did reach; a pair with a composite out of range must lift nothing
+    g = build_bg(group_catalog()["V4"])
+
+    def each(m1, ms):
+        return [-2 if (m1, m2) == (0, 1) else c for m2, c in zip(ms, g.compose_each(m1, ms))]
+
+    bent = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, each)
+    assert hfp(GammaAction(bent, (0,), (0, 3, 1, 2))).underlying == (0,)
+
+
 def test_eg_gamma_action_rejects_a_non_involution():
     z3 = cyclic_group(3)
     with pytest.raises(ValueError, match="involutive"):
@@ -344,6 +370,8 @@ def test_hfp_of_eg_s5_builds_no_table_and_stays_small():
         "fp = hfp(a)\n"
         "print(fp.groupoid.n_morphisms, is_fibration(fp.iota()),\n"
         "      a.carrier._comp is None, fp.groupoid._comp is None,\n"
+        "      *(callable(h._obj_labels) and callable(h._mor_labels)\n"
+        "        for h in (a.carrier, fp.groupoid)),\n"
         "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
         "swap = swap_comparison(build_eg(dihedral_group(4)))\n"
         "dec = bg_hfp_decomposition(GroupGammaAction(g, conjugation_automorphism(g, 1)))\n"
@@ -356,6 +384,36 @@ def test_hfp_of_eg_s5_builds_no_table_and_stays_small():
     env = dict(os.environ, PYTHONPATH=str(Path(grpd.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out[:4] == ["14400", "True", "True", "True"]
-    assert int(out[4]) < 150, f"peak RSS {out[4]} MB"
-    assert out[5:] == ["True"] * 8
+    assert out[:6] == ["14400", "True", "True", "True", "True", "True"]
+    assert int(out[6]) < 150, f"peak RSS {out[6]} MB"
+    assert out[7:] == ["True"] * 8
+
+
+def test_hfp_of_eg_s6_builds_no_table_and_no_labels_and_stays_small():
+    # the stretch rung: EG(S6) has 518 400 arrows, and so do its fixed points
+    # under conjugation by a transposition; neither may tabulate its
+    # composition or build its labels, and the peak RSS of hfp plus the
+    # fibration test stays under half of the 432 MB it once took
+    script = (
+        "import resource, time\n"
+        "from grpd.core import is_fibration\n"
+        "from grpd.corpus import eg_gamma_action\n"
+        "from grpd.gamma import hfp\n"
+        "from grpd.groups import conjugation_automorphism, symmetric_group\n"
+        "g = symmetric_group(6)\n"
+        "t0 = time.perf_counter()\n"
+        "a = eg_gamma_action(g, conjugation_automorphism(g, 1))\n"
+        "fp = hfp(a)\n"
+        "fib = is_fibration(fp.iota())\n"
+        "print(fp.groupoid.n_morphisms, fib,\n"
+        "      *(h._comp is None and callable(h._obj_labels) and callable(h._mor_labels)\n"
+        "        for h in (a.carrier, fp.groupoid)),\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024,\n"
+        "      round(time.perf_counter() - t0, 2))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(grpd.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    print(f"hfp(EG(S6)) and is_fibration: {out[5]} s, peak RSS {out[4]} MB")
+    assert out[:4] == ["518400", "True", "True", "True"]
+    assert int(out[4]) < 216, f"peak RSS {out[4]} MB"  # 206-207 MB measured on Linux

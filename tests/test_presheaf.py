@@ -28,7 +28,8 @@ from grpd.corpus import (
     random_site,
     skyscraper_presheaf_action,
 )
-from grpd.gamma import GammaAction, hfp, trivial_action, validate_gamma_action
+from grpd.gamma import (EquivariantMap, GammaAction, hfp, hfp_map, trivial_action,
+                        validate_gamma_action)
 from grpd.groups import cyclic_group
 from grpd.presheaf import (
     FiniteSite,
@@ -387,3 +388,152 @@ def test_validate_presheaf_agrees_with_the_all_restrictions_report():
             assert validate_presheaf(case) == want
             faults += bool(want)
     assert faults > 300
+
+
+# ---------------------------------------------------------------------------
+# each action's fixed points once per call
+
+
+@pytest.fixture
+def hfp_calls(monkeypatch):
+    """The actions ``gamma.hfp`` is called on while the test runs."""
+    from grpd import gamma
+    calls, original = [], gamma.hfp
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(gamma, "hfp", counting)
+    return calls
+
+
+def test_presheaf_hfp_computes_a_repeated_involution_once(hfp_calls):
+    s = site_from_open_sets(("x", "y"), [(), (0,), (0, 1)])
+    a = constant_presheaf_action(s, bz2_trivial())
+    assert s.n_opens == 3 and len({id(b) for b in a.at}) == 1
+    out = presheaf_hfp(a)
+    assert hfp_calls == [a.at[0]]
+    fps = [hfp(b) for b in a.at]
+    assert out.presheaf.sections == tuple(fp.groupoid for fp in fps)
+    assert out.iota.at == tuple(fp.iota() for fp in fps)
+    assert out.presheaf.res == {
+        (u, v): hfp_map(EquivariantMap(a.presheaf.res[(u, v)], a.at[u], a.at[v]), fps[u], fps[v])
+        for (u, v) in s.comparable_pairs()}
+
+
+def test_a_skyscraper_computes_each_distinct_involution_once(hfp_calls):
+    s = site_from_open_sets(("x", "y"), [(), (0,), (0, 1)])
+    a = skyscraper_presheaf_action(s, 1, bz2_trivial())
+    presheaf_hfp(a)
+    assert len(hfp_calls) == len({id(b) for b in a.at}) == 2
+
+
+def test_the_colimit_comparison_computes_a_repeated_node_once(hfp_calls):
+    from grpd.colimit import hfp_colimit_comparison
+    from grpd.corpus import _bar_power_diagram
+    d = _bar_power_diagram(random.Random(3))
+    assert len(d.nodes) == 4 and len({id(a) for a in d.nodes}) == 1
+    c = hfp_colimit_comparison(d)
+    assert hfp_calls == [d.nodes[0]]
+    ref = hfp_colimit_comparison(d, node_fps=[hfp(a) for a in d.nodes])
+    assert (c.map, c.is_isomorphism, c.lhs) == (ref.map, ref.is_isomorphism, ref.lhs)
+
+
+def test_hfp_map_of_an_endomorphism_computes_the_fixed_points_once(hfp_calls):
+    a = skyscraper_presheaf_action(sierpinski_site(), 0, bz2_trivial()).at[2]
+    e = EquivariantMap(identity_map(a.carrier), a, a)
+    f = hfp_map(e)
+    assert hfp_calls == [a]
+    assert f == hfp_map(e, hfp(a), hfp(a))
+
+
+# ---------------------------------------------------------------------------
+# meets on down-sets
+
+
+def pairwise_validate_site(s: FiniteSite) -> list[str]:
+    """``validate_site`` as it was before meets were read off down-sets: for
+    each pair of opens, every lower bound against every other."""
+    report = []
+    n = s.n_opens
+    if len(s.point_open) < s.n_points:
+        return ["shape: one least open per point expected"]
+    for (u, v) in s.leq:
+        if not (0 <= u < n and 0 <= v < n):
+            report.append("shape: leq entry out of range")
+            return report
+    for u in s.opens():
+        if not s.is_leq(u, u):
+            report.append(f"poset: {u} is not below itself")
+    for (u, v) in s.leq:
+        if u != v and s.is_leq(v, u):
+            report.append(f"poset: {u} and {v} are below each other")
+    for (u, v) in s.leq:
+        for w in s.opens():
+            if s.is_leq(v, w) and not s.is_leq(u, w):
+                report.append(f"poset: transitivity fails at ({u},{v},{w})")
+    if report:
+        return report
+    if not any(all(s.is_leq(u, t) for u in s.opens()) for t in s.opens()):
+        report.append("bounds: no top open")
+    if not any(all(s.is_leq(b, u) for u in s.opens()) for b in s.opens()):
+        report.append("bounds: no bottom open")
+    for u in s.opens():
+        for v in s.opens():
+            lower = [w for w in s.opens() if s.is_leq(w, u) and s.is_leq(w, v)]
+            if not any(all(s.is_leq(x, w) for x in lower) for w in lower):
+                report.append(f"meets: opens {u} and {v} have no meet")
+    for t in s.points():
+        if not 0 <= s.point_open[t] < n:
+            report.append(f"points: least open of point {t} out of range")
+    seen = {}
+    for u in s.opens():
+        key = frozenset(t for t in s.points() if s.is_leq(s.point_open[t], u))
+        if key in seen:
+            report.append(f"separation: opens {seen[key]} and {u} contain the same points")
+        else:
+            seen[key] = u
+    return report
+
+
+def poset_site(n, below, points):
+    """Opens 0..n-1 ordered by the reflexive closure of ``below``."""
+    leq = frozenset(below) | {(u, u) for u in range(n)}
+    return FiniteSite(open_labels=tuple(map(str, range(n))), leq=leq,
+                      point_labels=tuple("abcdefg"[:len(points)]), point_open=tuple(points))
+
+
+def broken_sites():
+    # two middle opens below two incomparable opens below the top: the
+    # upper two have lower bounds 0, 1 and 2 but no greatest one
+    crown = {(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4),
+             (1, 5), (2, 5), (3, 5), (4, 5)}
+    yield poset_site(6, crown, (1, 2))
+    yield poset_site(6, crown - {(0, 5)}, (1, 2))  # transitivity broken too
+    yield poset_site(4, {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}, (1, 1))  # separation
+    yield poset_site(3, {(0, 1), (1, 2), (0, 2), (2, 1)}, (1,))  # not antisymmetric
+    yield poset_site(3, {(0, 1), (1, 2), (0, 2), (0, 9)}, (1,))  # out of range
+    yield poset_site(3, {(0, 1), (1, 2), (0, 2)}, (1, 7))  # a point's open out of range
+    yield poset_site(3, {(0, 1), (0, 2)}, (1, 2))  # no top, and 1, 2 have no join
+    yield poset_site(3, {(1, 0), (2, 0)}, (1, 2))  # no bottom, and 1, 2 have no meet
+    rng = random.Random("sites:dropped")
+    for _ in range(40):
+        s = random_site(rng)
+        pairs = sorted(s.leq)
+        yield replace(s, leq=s.leq - {rng.choice(pairs)})  # a pair dropped from leq
+        u, v = rng.sample(range(s.n_opens), 2)
+        yield replace(s, point_open=(u,) * s.n_points)  # opens alike on points
+        yield replace(s, leq=s.leq | {(u, v)})
+
+
+def test_validate_site_agrees_with_the_pairwise_meet_check():
+    rng = random.Random("sites:valid")
+    for _ in range(200):
+        s = random_site(rng)
+        assert validate_site(s) == pairwise_validate_site(s) == []
+    reports = [(validate_site(s), pairwise_validate_site(s)) for s in broken_sites()]
+    assert all(new == old for new, old in reports)
+    lines = {" ".join(line.split()[:2]) for new, _ in reports for line in new}
+    assert {"meets: opens", "separation: opens", "shape: leq", "poset: transitivity",
+            "bounds: no", "points: least"} <= lines
