@@ -650,17 +650,10 @@ def product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     (m, k) is m * h.n_morphisms + k.  Composition is coordinatewise: a row
     zips the two factors' rows."""
     no, nm = h.n_objects, h.n_morphisms
-
-    def obj(x, y):
-        return x * no + y
-
-    def mor(m, k):
-        return m * nm + k
-
-    src = [obj(g.src[m], h.src[k]) for m in g.morphisms() for k in h.morphisms()]
-    tgt = [obj(g.tgt[m], h.tgt[k]) for m in g.morphisms() for k in h.morphisms()]
-    id_of = [mor(g.id_of[x], h.id_of[y]) for x in g.objects() for y in h.objects()]
-    inv = [mor(g.inv[m], h.inv[k]) for m in g.morphisms() for k in h.morphisms()]
+    src = [a * no + b for a in g.src for b in h.src]
+    tgt = [a * no + b for a in g.tgt for b in h.tgt]
+    id_of = [a * nm + b for a in g.id_of for b in h.id_of]
+    inv = [a * nm + b for a in g.inv for b in h.inv]
     g_each, h_each = g.compose_each, h.compose_each
 
     def compose_each(m1, ms):

@@ -202,7 +202,7 @@ def eg_gamma_action(g: FiniteGroup, theta: Optional[Sequence[int]] = None) -> Ga
         raise ValueError(f"theta is not an involutive automorphism of {g.name}")
     e = build_eg(g)
     n = g.order
-    bar_mor = tuple(theta[m // n] * n + theta[m % n] for m in range(n * n))
+    bar_mor = tuple([t * n + u for t in theta for u in theta])
     return GammaAction(e, theta, bar_mor)
 
 

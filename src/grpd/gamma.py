@@ -31,6 +31,7 @@ from .core import (
     validate_functor,
     validate_groupoid,
 )
+from .util import _generators
 
 __all__ = [
     "GammaAction",
@@ -173,21 +174,34 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
     row of betas, are the arrows out of (x, phi) over the carrier's row of
     alpha then the betas.
 
-    Closure under that composite is checked on one star per component
-    (``core._stars``), one carrier row per generator: every arrow out of the
-    root r, and the inverse of each star arrow r -> x, which must return to
-    r.  A generator passes when its row lifts, each composite landing where
-    the arrow it was composed with lands; passing arrows are closed under
-    composition and generate the component.  So on a carrier that is a
-    groupoid, with any bar, the generators pass exactly when the fixed
-    points form a groupoid, and otherwise ``InvariantViolation`` is raised:
-    for a missing arrow, composite, identity or inverse (the carrier is not
-    a groupoid), or for a composite or inverse that lands on the wrong fixed
-    point (the carrier is not a groupoid or bar is not a functor).  On a
-    carrier that is not a groupoid the scan reads other pairs than a scan
-    per arrow would and the star can pass where a walk over every composable
-    pair would fail, so completeness rests on ``validate_gamma_action``,
-    which every compute command runs first.
+    Closure under that composite is checked per component with root r
+    (``core._stars``), one carrier row per checked arrow: each star arrow
+    r -> x for x != r, whose inverse must return to r, and a generating set
+    of Aut(r) picked by ``util._generators`` (none when Aut(r) is the
+    identity alone).  An arrow passes when its row lifts, each composite
+    landing where the arrow it was composed with lands.  Then r must have
+    |Aut(r)| arrows out per fixed point of its component, and every fixed
+    point of the component as many as r.  Proof, on a carrier that is a
+    groupoid: the passing arrows are closed under composition.  The identity
+    of r lands on r, since the row of star[x] composes it from star[x] and
+    its inverse (or r is alone), and its row is the arrows out of r
+    themselves, so it passes; every other automorphism of r is a composite
+    of generators.  For each x, a then star[x] for a in Aut(r) are |Aut(r)|
+    passing arrows r -> x that differ in the carrier, and the count of
+    arrows out of r leaves no other, so every arrow out of r passes.  The
+    row of star[x] takes the arrows out of x one to one into the arrows out
+    of r, and onto them, as there are as many; so inv(star[x]) then an arrow
+    out of r is the arrow out of x it came from, and inv(star[x]) passes.
+    Every m: x -> y is inv(star[x]) then (star[x] then m).  So, with any
+    bar, the check passes exactly when the fixed points form a groupoid, and
+    otherwise ``InvariantViolation`` is raised: for a missing arrow,
+    composite, identity or inverse (the carrier is not a groupoid), or for a
+    composite or inverse that lands on the wrong fixed point, or a count
+    that differs (the carrier is not a groupoid or bar is not a functor).
+    On a carrier that is not a groupoid the scan reads other pairs than a
+    scan per arrow would and the check can pass where a walk over every
+    composable pair would fail, so completeness rests on
+    ``validate_gamma_action``, which every compute command runs first.
 
     A bar or inv table of the wrong length or with an entry out of range
     also raises ``InvariantViolation``.  Bar need not be a functor, so each
@@ -261,7 +275,7 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
         starts.append(len(src))
         src, tgt, underlying = tuple(src), tuple(tgt), tuple(underlying)
         id_of = [lifts[i][g.id_of[o.base]] for i, o in enumerate(objs)]
-        inv = tuple(lifts[tgt[m]][g_inv[underlying[m]]] for m in range(len(src)))
+        inv = tuple([lifts[j][g_inv[alpha]] for j, alpha in zip(tgt, underlying)])
         del land, twice, between  # the scan's tables, released before the closure check
 
         def compose_fp(m1, ms):
@@ -282,18 +296,50 @@ def hfp(a: GammaAction) -> HomotopyFixedPoints:
             obj_labels=obj_labels, mor_labels=mor_labels,
             out_of=map(range, starts, starts[1:]),
         )
+
+        def aut_generators(r, a0, h):
+            # Aut(r) is the block a0, ..., a0 + h - 1 that starts out_of[r]:
+            # arrows are numbered by target, and r is the least object of its
+            # component.  The picker sees positions in that block
+            lift, alphas = lifts[r], underlying[a0:a0 + h]
+
+            def each_aut(p, qs):
+                ps = [lift[c] - a0 for c in each(alphas[p], [alphas[q] for q in qs])]
+                if ps and not 0 <= min(ps) <= max(ps) < h:
+                    raise InvariantViolation(f"a composite with fixed-point arrow {a0 + p} "
+                                             "lands on the wrong fixed point: the carrier is "
+                                             "not a groupoid or bar is not a functor")
+                return ps
+
+            unit = id_of[r] - a0
+            units = (unit,) if 0 <= unit < h else ()
+            if h <= 2:  # the automorphism that is not the identity, if any, generates
+                return [a0 + p for p in range(h) if p not in units]
+            return [a0 + p for p in _generators((0,) * h, (0,) * h, (range(h),), each_aut, units)]
+
         for r, star in _stars(groupoid):
-            back = [inv[k] for x, k in star.items() if x != r]
-            if any(tgt[k] != r for k in back):
+            if any(tgt[inv[k]] != r for x, k in star.items() if x != r):
                 raise InvariantViolation(f"an inverse of a star arrow does not return to {r}: "
                                          "the carrier is not a groupoid or bar is not a functor")
-            for k in chain(groupoid.out_of[r], back):
+            a0, a1 = starts[r], starts[r + 1]
+            h = tgt[a0:a1].count(r)
+            for k in chain(aut_generators(r, a0, h),
+                           sorted(k for x, k in star.items() if x != r)):
                 into, out = lifts[src[k]], lifts[tgt[k]]
                 row = each(underlying[k], list(out))
                 if [tgt[into[c]] for c in row] != [tgt[m] for m in out.values()]:
                     raise InvariantViolation(f"a composite with fixed-point arrow {k} lands "
                                              "on the wrong fixed point: the carrier is not a "
                                              "groupoid or bar is not a functor")
+            if a1 - a0 != h * len(star):
+                raise InvariantViolation(f"fixed point {r} has {a1 - a0} arrows out, {h} to "
+                                         f"itself and {len(star)} fixed points in its component: "
+                                         "the carrier is not a groupoid or bar is not a functor")
+            x = next((x for x in star if len(lifts[x]) != a1 - a0), None)
+            if x is not None:
+                raise InvariantViolation(f"fixed point {x} has {len(lifts[x])} arrows out and "
+                                         f"{r} has {a1 - a0}: the carrier is not a groupoid "
+                                         "or bar is not a functor")
     except KeyError as exc:
         raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}: "
                                  "the carrier is not a groupoid") from exc

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .util import _associativity_report
+from .util import _associativity_report, _generators
 
 __all__ = [
     "FiniteGroup",
@@ -105,13 +105,20 @@ def validate_group(g: FiniteGroup) -> list[str]:
     for a in range(n):
         if g.mul(a, g.inv(a)) != g.identity or g.mul(g.inv(a), a) != g.identity:
             report.append(f"inverse: inv({a}) is not a two-sided inverse")
-    rows = g.table
+    return report + _associativity_report(*_one_object(g.table), units)
+
+
+def _one_object(rows) -> tuple:
+    """A multiplication table as a category with one object, in the first
+    four arguments of ``util._generators`` and ``util._associativity_report``:
+    ``src``, ``tgt``, ``out_of`` and the row reader, a*b for each b of a row."""
+    n = len(rows)
 
     def each(a, bs):
         row = rows[a]
         return [row[b] for b in bs]
 
-    return report + _associativity_report((0,) * n, (0,) * n, [range(n)], each, units)
+    return (0,) * n, (0,) * n, (range(n),), each
 
 
 def _from_table(table, name, labels=None) -> FiniteGroup:
@@ -353,12 +360,17 @@ def quotient_group(g: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, 
 
 
 def is_automorphism(g: FiniteGroup, f: Sequence[int]) -> bool:
+    """Whether f is a bijective homomorphism.  The elements a with
+    f(a*b) = f(a)*f(b) for every b are closed under products, so the law is
+    checked on the rows of a generating set (``util._generators``), as
+    Light's test checks associativity in ``validate_group``; in a finite
+    group the identity is a power of any generator."""
     if sorted(f) != list(g.elements()):
         return False
-    # row a of f(a*b) against row f(a) of f(a)*f(b), b running over the group
     table = g.table
-    return all([f[ab] for ab in row] == [row_fa[fb] for fb in f]
-               for row, row_fa in zip(table, [table[fa] for fa in f]))
+    # row a of f(a*b) against row f(a) of f(a)*f(b), b running over the group
+    return all([f[ab] for ab in table[a]] == [table[f[a]][fb] for fb in f]
+               for a in _generators(*_one_object(table), (g.identity,)))
 
 
 def is_involutive_automorphism(g: FiniteGroup, f: Sequence[int]) -> bool:

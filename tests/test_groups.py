@@ -235,6 +235,39 @@ def test_is_automorphism_agrees_with_the_entrywise_check():
     assert set(verdicts) == {True, False}
 
 
+def all_rows_is_automorphism(g, f):
+    """The check ``is_automorphism`` made before it read generators: the
+    homomorphism law on the row of every element."""
+    if sorted(f) != list(g.elements()):
+        return False
+    table = g.table
+    return all([f[ab] for ab in row] == [row_fa[fb] for fb in f]
+               for row, row_fa in zip(table, [table[fa] for fa in f]))
+
+
+def test_is_automorphism_on_generators_agrees_with_the_all_rows_check():
+    # every catalog group and S4, S5: all conjugations, inversion, random
+    # permutations, and each conjugation with two images exchanged, a
+    # bijection that breaks the law on few rows
+    rng = random.Random("automorphisms on generators")
+    verdicts = []
+    for g in [*group_catalog().values(), symmetric_group(4), symmetric_group(5)]:
+        n = g.order
+        maps = [conjugation_automorphism(g, s) for s in g.elements()]
+        maps += [inversion_automorphism(g), *(tuple(rng.sample(range(n), n)) for _ in range(50))]
+        for f in maps[:n]:
+            if n > 2:
+                f = list(f)
+                i, j = rng.sample(range(n), 2)
+                f[i], f[j] = f[j], f[i]
+                maps.append(tuple(f))
+        for f in maps:
+            want = all_rows_is_automorphism(g, f)
+            assert is_automorphism(g, f) == want
+            verdicts.append(want)
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 500
+
+
 def entrywise_induced_subgroup(g, elements):
     """The construction ``induced_subgroup`` replaced: ``is_subgroup`` first,
     then one product at a time through the index of the embedding."""

@@ -21,6 +21,7 @@ from grpd.cohomology import GroupGammaAction, bg_hfp_decomposition
 from grpd.core import build_eg, relabel
 from grpd.corpus import (
     eg_gamma_action,
+    involutive_fixtures,
     random_filtered_diagram,
     random_gamma_action,
     random_presheaf_action,
@@ -125,8 +126,6 @@ def built(monkeypatch):
     """Each groupoid the three label-building builders make, in order, with a
     function of no arguments giving the eager labels for it."""
     made = []
-    modules = [importlib.import_module(f"grpd.{m.name}")
-               for m in pkgutil.iter_modules(grpd.__path__)] + [grpd]
     for name, reference in (("build_action_groupoid", eager_action_labels),
                             ("disjoint_union", eager_union_labels),
                             ("product", eager_product_labels)):
@@ -137,10 +136,18 @@ def built(monkeypatch):
             made.append((g, lambda: reference(*args)))
             return g
 
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
+        patch_everywhere(monkeypatch, original, wrapper)
     return made
+
+
+def patch_everywhere(monkeypatch, original, wrapper):
+    """Put ``wrapper`` in place of the function ``original`` wherever the
+    package imports it."""
+    modules = [importlib.import_module(f"grpd.{m.name}")
+               for m in pkgutil.iter_modules(grpd.__path__)] + [grpd]
+    for module in modules:
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
 
 
 def assert_labels_match(made):
@@ -208,3 +215,50 @@ def test_relabel_keeps_the_labels_of_a_rule():
     a = gamma_relabel(eg_gamma_action(symmetric_group(3)), range(6), [35 - m for m in range(36)])
     assert a.carrier.mor_labels == tuple(reversed(g.mor_labels))
     assert relabel(g, range(6), range(36)).obj_labels == g.obj_labels
+
+
+# ---------------------------------------------------------------------------
+# product and EG tables
+
+
+def entrywise_product_tables(g, h):
+    """``src``, ``tgt``, ``id_of`` and ``inv`` of the product as ``product``
+    built them before it read the factors' tables whole: one call per entry."""
+    no, nm = h.n_objects, h.n_morphisms
+
+    def obj(x, y):
+        return x * no + y
+
+    def mor(m, k):
+        return m * nm + k
+
+    return ([obj(g.src[m], h.src[k]) for m in g.morphisms() for k in h.morphisms()],
+            [obj(g.tgt[m], h.tgt[k]) for m in g.morphisms() for k in h.morphisms()],
+            [mor(g.id_of[x], h.id_of[y]) for x in g.objects() for y in h.objects()],
+            [mor(g.inv[m], h.inv[k]) for m in g.morphisms() for k in h.morphisms()])
+
+
+def entrywise_eg_bar_mor(theta):
+    n = len(theta)
+    return tuple(theta[m // n] * n + theta[m % n] for m in range(n * n))
+
+
+def test_products_and_eg_bars_give_the_entrywise_tables(monkeypatch):
+    products, original = [], core.product
+
+    def recorded(g, h):
+        p = original(g, h)
+        products.append((p, g, h))
+        return p
+
+    patch_everywhere(monkeypatch, original, recorded)
+    rng = random.Random("product tables")
+    actions = [random_gamma_action(rng) for _ in range(150)]
+    actions += [*small_actions(), swap_action(build_eg(dihedral_group(4)))]
+    assert len(products) > 60
+    for p, g, h in products:
+        assert (p.src, p.tgt, p.id_of, p.inv) == tuple(map(tuple, entrywise_product_tables(g, h)))
+    egs = [(d.group, d.theta) for d in involutive_fixtures()]
+    egs += [(g, conjugation_automorphism(g, 1)) for g in map(symmetric_group, (3, 4, 5))]
+    for g, theta in egs:
+        assert eg_gamma_action(g, theta).bar_mor == entrywise_eg_bar_mor(tuple(theta))

@@ -7,20 +7,25 @@ product's, the disjoint union's and the fixed points', plus a table lookup,
 and ``pair_hfp``, the fixed point construction that called a pair rule once
 per pair.  Every structure these tests build carries its reference pair rule
 beside it, so nested structures nest their references.  ``pair_hfp`` also
-keeps the closure walk over every composable pair, the reference for the
-star generating sets on which ``hfp`` checks its closure.
+keeps the closure walk over every composable pair, and ``star_closure`` the
+check on every arrow out of each root and the inverses of the star arrows,
+the references for the generators and counts on which ``hfp`` checks its
+closure.
 """
 
 import random
+import time
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import pytest
 
-from grpd.cohomology import bg_gamma_action
+from grpd import gamma
+from grpd.cohomology import GroupGammaAction, bg_gamma_action
 from grpd.core import (
     FiniteGroupoid,
     InvariantViolation,
+    _stars,
     build_action_groupoid,
     discrete_groupoid,
     disjoint_union,
@@ -37,6 +42,7 @@ from grpd.corpus import (
     group_catalog,
     involutive_fixtures,
     random_filtered_diagram,
+    random_gamma_action,
     small_groupoid_catalog,
 )
 from grpd.gamma import GammaAction, HfpObject, gamma_product, hfp, swap_action, trivial_action
@@ -48,7 +54,9 @@ from grpd.groups import (
     symmetric_group,
     trivial_point_action,
 )
+from grpd.util import _generators
 from test_gamma import raises_key_error, small_actions as corpus_small_actions
+from test_sweep import involutions_by_carrier
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +384,14 @@ def pair_groupoid(tables, compose):
     return FiniteGroupoid(len(objs), src, tgt, id_of, inv, comp)
 
 
-def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
-    # action and table carriers carry their pair rules, which raise on the
-    # carrier's own pair as ``compose`` does; products, unions and fixed
-    # points are walked with their own checked ``compose``
+def random_bar_pool():
+    """Groupoid carriers with their pair rules for ``random_bar``.  Action
+    and table carriers carry their pair rules, which raise on the carrier's
+    own pair as ``compose`` does; products, unions and fixed points are
+    walked with their own checked ``compose``."""
     cat = group_catalog()
     checked = lambda x: (x[0], x[0].compose)
-    pool = [eg(cat["S3"]), bg(cat["S3"]), bg(cat["V4"]), eg(cat["Z4"]),
+    return [eg(cat["S3"]), bg(cat["S3"]), bg(cat["V4"]), eg(cat["Z4"]),
             action(GroupAction(cyclic_group(4), 2, ((0, 1), (1, 0), (0, 1), (1, 0)))),
             tabled(relabel(build_action_groupoid(left_multiplication_action(cat["S3"])),
                            range(6), [35 - m for m in range(36)])),
@@ -392,6 +401,10 @@ def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
             checked(union([prod(eg(cat["Z2"]), bg(cat["Z2"])), bg(cat["S3"])])),
             checked(fixed(*eg_transposition(3))),
             checked(fixed(*nested_action()))]
+
+
+def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
+    pool = random_bar_pool()
     # every carrier ten times, then BG(V4) and C4 on two points, the carriers
     # where a random bar most often breaks the fixed points
     draws = [(pool[k % len(pool)], k % 2 == 0) for k in range(10 * len(pool))]
@@ -422,16 +435,192 @@ def test_hfp_agrees_with_the_pair_construction_on_bars_that_are_not_functors():
 
 def test_the_closure_reads_one_row_per_generator():
     # EG(S_n) under conjugation has n! fixed points in one component, one
-    # over each object.  The arrow scan reads two rows per fixed point, one
-    # keying the arrows into its base and one twisted by bar; the star is n!
-    # arrows out of the root and n! - 1 back
+    # over each object, and no automorphism but the identities.  The arrow
+    # scan reads two rows per fixed point, one keying the arrows into its
+    # base and one twisted by bar; the closure check reads the rows of the
+    # n! - 1 star arrows out of the root and of no generator, as the root's
+    # identity is not one; the inverses of the star arrows are counted, not
+    # read
     for n, fixed_points in ((4, 24), (5, 120)):
         a, _ = eg_transposition(n)
         each = a.carrier.compose_each
         rows = []
         a.carrier.compose_each = lambda m1, ms: rows.append(m1) or each(m1, ms)
         assert len(hfp(a).underlying) == fixed_points ** 2
-        assert len(rows) == 2 * fixed_points + 2 * fixed_points - 1
+        assert len(rows) == 2 * fixed_points + fixed_points - 1
+
+
+def star_closure(fp):
+    """The closure check ``hfp`` made before it read generators of each
+    root's vertex group, on fixed points computed without a check: the row of
+    every arrow out of each component's root and of the inverse of each star
+    arrow."""
+    g, h = fp.action.carrier, fp.groupoid
+    each, lifts, underlying = g.compose_each, fp._lifts, fp.underlying
+    src, tgt, inv = h.src, h.tgt, h.inv
+    try:
+        for r, star in _stars(h):
+            back = [inv[k] for x, k in star.items() if x != r]
+            if any(tgt[k] != r for k in back):
+                raise InvariantViolation(f"an inverse of a star arrow does not return to {r}")
+            for k in chain(h.out_of[r], back):
+                into, out = lifts[src[k]], lifts[tgt[k]]
+                row = each(underlying[k], list(out))
+                if [tgt[into[c]] for c in row] != [tgt[m] for m in out.values()]:
+                    raise InvariantViolation(f"a composite with fixed-point arrow {k} lands "
+                                             "on the wrong fixed point")
+    except KeyError as exc:
+        raise InvariantViolation(f"no fixed-point arrow or composite over {exc.args[0]}") from exc
+    return fp
+
+
+def star_hfp(a):
+    """``hfp`` with the star closure check in place of its own: the arrow
+    scan runs with no component to check, then ``star_closure``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gamma, "_stars", lambda h: [])
+        fp = hfp(a)
+    return star_closure(fp)
+
+
+def swapped_bar(rng, a):
+    """``a`` with two entries of bar on morphisms exchanged: a bar that is
+    nearly a functor, so that most arrows lift and the closure check decides."""
+    bar_mor = list(a.bar_mor)
+    if len(bar_mor) > 1:
+        i, j = rng.sample(range(len(bar_mor)), 2)
+        bar_mor[i], bar_mor[j] = bar_mor[j], bar_mor[i]
+    return replace(a, bar_mor=tuple(bar_mor))
+
+
+def test_hfp_agrees_with_the_star_closure_check_on_groupoid_carriers():
+    # every carrier here is a groupoid, so the two checks must agree on
+    # whether to raise, and the fixed points must be the same tables
+    rng = random.Random("generator closure")
+    pool = random_bar_pool() + [bg(symmetric_group(4))]
+    actions = [GammaAction(g, *random_bar(rng, g, k % 2 == 0))
+               for k in range(20) for g, _ in pool]
+    corpus = [*corpus_small_actions(), eg_transposition(3)[0], eg_transposition(4)[0],
+              *(a for row in involutions_by_carrier() for a in row),
+              *(random_gamma_action(rng) for _ in range(100))]
+    actions += corpus + [swapped_bar(rng, a) for a in corpus for _ in range(3)]
+    s4 = symmetric_group(4)
+    actions += [bg_gamma_action(GroupGammaAction(s4, conjugation_automorphism(s4, t)))
+                for t in s4.elements() if s4.mul(t, t) == s4.identity]
+    raised = returned = 0
+    for a in actions:
+        assert validate_groupoid(a.carrier) == []
+        want = outcome(star_hfp, a)
+        got = outcome(hfp, a)
+        if isinstance(want, str):
+            raised += 1
+            assert isinstance(got, str)
+        else:
+            returned += 1
+            assert got == want
+    assert raised > 100 and returned > 500
+
+
+def test_a_root_with_too_few_arrows_out_raises():
+    # three arrows on one object by a table that is not a groupoid's: 0 is
+    # no unit.  The fixed points 0 and 1 share a component whose root has two
+    # automorphisms but one arrow to 1, and every row the check reads lifts,
+    # so only the count of the arrows out of the root finds the fault; the
+    # star check found it in the row of the root's identity, which is no
+    # generator
+    table = {(0, 0): 2, (0, 1): 0, (0, 2): 1, (1, 0): 1, (1, 1): 0, (1, 2): 1,
+             (2, 0): 0, (2, 1): 1, (2, 2): 0}
+    a = GammaAction(FiniteGroupoid(1, (0, 0, 0), (0, 0, 0), (0,), (0, 1, 2), table),
+                    (0,), (0, 2, 2))
+    assert outcome(hfp, a) == ("fixed point 0 has 3 arrows out, 2 to itself and 2 fixed "
+                               "points in its component: the carrier is not a groupoid or "
+                               "bar is not a functor")
+    assert outcome(star_hfp, a) == "a composite with fixed-point arrow 0 lands on the wrong fixed point"
+
+
+def test_a_fixed_point_with_fewer_arrows_out_than_its_root_raises():
+    # five arrows on one object by a table that is not a groupoid's.  The
+    # fixed points 0 and 1 share a component; the root has one arrow to each,
+    # and the star arrow's row lifts, but the identity of 1 lands on 0, so 1
+    # has one arrow out where the root has two.  Only the count of arrows
+    # out finds the fault: the inverse of the star arrow, whose row the star
+    # check read, is not checked
+    table = {(0, 0): 4, (0, 1): 1, (0, 2): 1, (0, 3): 0, (0, 4): 4,
+             (1, 0): 3, (1, 1): 3, (1, 2): 1, (1, 3): 0, (1, 4): 0,
+             (2, 0): 0, (2, 1): 4, (2, 2): 1, (2, 3): 0, (2, 4): 0,
+             (3, 0): 1, (3, 1): 2, (3, 2): 0, (3, 3): 3, (3, 4): 3,
+             (4, 0): 3, (4, 1): 2, (4, 2): 3, (4, 3): 0, (4, 4): 0}
+    a = GammaAction(FiniteGroupoid(1, (0,) * 5, (0,) * 5, (0,), (2, 0, 0, 3, 1), table),
+                    (0,), (2, 0, 1, 1, 3))
+    assert outcome(hfp, a) == ("fixed point 1 has 1 arrows out and 0 has 2: the carrier "
+                               "is not a groupoid or bar is not a functor")
+    assert outcome(star_hfp, a) == "no fixed-point arrow or composite over 4"
+
+
+def test_a_star_arrow_whose_inverse_does_not_return_raises():
+    # three arrows on one object by a table that is not a groupoid's.  The
+    # star arrow from fixed point 0 to 1 lies over 0, and so does its inverse,
+    # inv(0) being 0, which lifts out of 1 to 1 itself.  The check raises
+    # before it reads a closure row
+    table = {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 2, (1, 2): 0,
+             (2, 0): 2, (2, 1): 2, (2, 2): 2}
+    a = GammaAction(FiniteGroupoid(1, (0, 0, 0), (0, 0, 0), (2,), (0, 0, 2), table),
+                    (0,), (1, 0, 2))
+    message = "an inverse of a star arrow does not return to 0"
+    assert outcome(hfp, a) == f"{message}: the carrier is not a groupoid or bar is not a functor"
+    assert outcome(star_hfp, a) == message
+
+
+def test_a_generator_whose_row_does_not_lift_raises():
+    # three arrows on one object by a table that is not a groupoid's, with
+    # one fixed point over phi = 1, the unit.  Its automorphisms lie over 0
+    # and 1; 0 generates them, since 0 then 0 is 1, but 0 then 1 is 2, which
+    # lifts to no arrow.  The component has no star arrow, so only the row of
+    # the generator finds the fault
+    table = {(0, 0): 1, (0, 1): 2, (0, 2): 0, (1, 0): 2, (1, 1): 2, (1, 2): 1,
+             (2, 0): 1, (2, 1): 2, (2, 2): 2}
+    a = GammaAction(FiniteGroupoid(1, (0, 0, 0), (0, 0, 0), (1,), (0, 1, 2), table),
+                    (0,), (1, 1, 1))
+    message = "no fixed-point arrow or composite over 2"
+    assert outcome(hfp, a) == f"{message}: the carrier is not a groupoid"
+    assert outcome(star_hfp, a) == message
+
+
+def test_the_closure_of_bg_s6_reads_generators_not_every_arrow_out_of_a_root():
+    # BG(S6) under conjugation by a transposition t: phi is a fixed point
+    # when t phi is an involution or 1, so there are 76 over the one object,
+    # in four components of k fixed points with k |Aut| = 720.  The scan reads
+    # two rows per fixed point; the closure check reads g + k - 1 rows per
+    # component, each a whole row of 720 arrows out of a fixed point, where
+    # it used to read k * 720 + k - 1; Aut(r) is read for its g generators
+    # in rows of at most g arrows
+    s6 = symmetric_group(6)
+    a = bg_gamma_action(GroupGammaAction(s6, conjugation_automorphism(s6, 1)))
+    each, rows = a.carrier.compose_each, []
+    a.carrier.compose_each = lambda m1, ms: rows.append(len(ms)) or each(m1, ms)
+    t0 = time.perf_counter()
+    fp = hfp(a)
+    elapsed = time.perf_counter() - t0
+    a.carrier.compose_each = each
+    h = fp.groupoid
+    assert (h.n_objects, h.n_morphisms) == (76, 54720)
+    bound = star_bound = 0
+    for r, star in _stars(h):
+        k, aut = len(star), h.aut(r)
+        assert k * len(aut) == 720
+        gens = _generators((0,) * len(aut), (0,) * len(aut), (range(len(aut)),),
+                           lambda p, qs: [aut.index(c) for c in
+                                          h.compose_each(aut[p], [aut[q] for q in qs])],
+                           (aut.index(h.id_of[r]),))
+        assert 2 ** len(gens) <= len(aut)  # an irredundant set, each doubling
+        bound += len(gens) + k - 1
+        star_bound += k * len(aut) + k - 1
+    closure = rows[152:].count(720)
+    print(f"hfp(BG(S6)): {elapsed:.3f} s, {closure} closure rows, at most {bound}; "
+          f"the star check read {star_bound}")
+    assert rows[:152] == [720] * 152
+    assert 0 < closure <= bound
+    assert max(n for n in rows[152:] if n != 720) < 10
 
 
 def test_an_inverse_that_does_not_return_to_its_base_is_never_composed():
