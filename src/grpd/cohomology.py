@@ -3,8 +3,8 @@
 For an involutive automorphism bar of G, the cocycles are
 Z1 = {s in G : s * bar(s) = e}, the twisted conjugation action is
 g . s = bar(g) * s * g^-1, and H1 is the set of orbits.  This is the twisted
-conjugation of ``grpd.twisted`` with theta = bar and B = G, and ``z1`` and
-``h1`` take their cocycles and orbits from there.  The stabilizer
+conjugation of ``grpd.twisted`` with theta = bar and B = G, and ``h1``
+takes its cocycles and orbits from there.  The stabilizer
 K_s = {g : bar(g) * s = s * g} of a cocycle is the automorphism group of the
 corresponding fixed point of the one-object groupoid of G.
 """
@@ -26,7 +26,7 @@ from .core import (
 )
 from .gamma import GammaAction, HomotopyFixedPoints, hfp
 from .groups import FiniteGroup, induced_subgroup, is_involutive_automorphism
-from .twisted import InvolutiveGroupData, TwistedOrbit, twisted_orbits, z1_theta
+from .twisted import InvolutiveGroupData, TwistedOrbit, twisted_orbits
 
 __all__ = [
     "GroupGammaAction",
@@ -35,7 +35,6 @@ __all__ = [
     "Skeleton",
     "validate_group_gamma_action",
     "bg_gamma_action",
-    "z1",
     "h1",
     "bg_hfp_decomposition",
     "skeletonize",
@@ -64,19 +63,10 @@ def bg_gamma_action(a: GroupGammaAction) -> GammaAction:
     return GammaAction(build_bg(a.group), (0,), tuple(a.bar))
 
 
-def _with_full_subgroup(a: GroupGammaAction) -> InvolutiveGroupData:
-    return InvolutiveGroupData(group=a.group, theta=a.bar,
-                               b_elements=tuple(a.group.elements()))
-
-
-def z1(a: GroupGammaAction) -> tuple[int, ...]:
-    """Cocycles: elements with s * bar(s) = e, in increasing order."""
-    return z1_theta(_with_full_subgroup(a)).elements
-
-
 def h1(a: GroupGammaAction) -> list[TwistedOrbit]:
     """Orbits of twisted conjugation on the cocycles, sorted by representative."""
-    return twisted_orbits(_with_full_subgroup(a))
+    return twisted_orbits(InvolutiveGroupData(group=a.group, theta=a.bar,
+                                              b_elements=tuple(a.group.elements())))
 
 
 @dataclass(frozen=True)

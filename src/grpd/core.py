@@ -30,17 +30,14 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
-from .groups import FiniteGroup, GroupAction, _two_sided, is_subgroup, left_multiplication_action, quotient_group, trivial_point_action
-from .util import UnionFind, _associativity_report
+from .groups import FiniteGroup, GroupAction, left_multiplication_action, trivial_point_action
+from .util import _associativity_report
 
 __all__ = [
     "FiniteCategory",
     "FiniteGroupoid",
     "GroupoidMap",
-    "NotNormalError",
-    "NotFreeError",
     "InvariantViolation",
-    "QuotientComparison",
     "validate_category",
     "validate_groupoid",
     "validate_functor",
@@ -53,11 +50,9 @@ __all__ = [
     "build_eg",
     "build_bg",
     "components",
-    "component_index",
     "is_fibration",
     "is_weak_equivalence",
     "groupoid_cardinality",
-    "quotient_comparison",
     "disjoint_union",
     "disjoint_union_map",
     "union_offsets",
@@ -69,19 +64,6 @@ __all__ = [
 
 class InvariantViolation(RuntimeError):
     """An internal invariant failed; this indicates a bug, not bad input."""
-
-
-class NotNormalError(ValueError):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class NotFreeError(ValueError):
-    def __init__(self, message: str, element: int, point: int):
-        super().__init__(message)
-        self.element = element
-        self.point = point
 
 
 class FiniteCategory:
@@ -489,7 +471,7 @@ def components(g: FiniteGroupoid) -> list[list[int]]:
     return [sorted(star) for _, star in _stars(g)]
 
 
-def component_index(g: FiniteGroupoid) -> list[int]:
+def _component_index(g: FiniteGroupoid) -> list[int]:
     """The number of each object's component, as in ``components``."""
     index = [0] * g.n_objects
     for c, (_, star) in enumerate(_stars(g)):
@@ -513,7 +495,7 @@ def is_weak_equivalence(f: GroupoidMap) -> bool:
     aut(r) -> aut(f r) at the root r of each component of the domain."""
     dom, cod, obj_map, mor_map = f.dom, f.cod, f.obj_map, f.mor_map
     roots = [r for r, _ in _stars(dom)]
-    comp_of = component_index(cod)
+    comp_of = _component_index(cod)
     hit = {comp_of[obj_map[r]] for r in roots}
     if len(hit) != len(roots) or hit != set(comp_of):
         return False
@@ -527,67 +509,6 @@ def is_weak_equivalence(f: GroupoidMap) -> bool:
 def groupoid_cardinality(g: FiniteGroupoid) -> Fraction:
     """Sum of 1/|Aut| over isomorphism classes, as an exact rational."""
     return sum((Fraction(1, len(g.aut(r))) for r, _ in _stars(g)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class QuotientComparison:
-    map: GroupoidMap
-    is_fibration: bool
-    is_weak_equivalence: bool
-
-    @property
-    def is_acyclic_fibration(self) -> bool:
-        return self.is_fibration and self.is_weak_equivalence
-
-
-def quotient_comparison(a: GroupAction, normal: Sequence[int]) -> QuotientComparison:
-    """Canonical map from the action groupoid of ``a`` to the quotient action
-    groupoid by a normal subgroup acting freely, with both verdicts.
-    """
-    grp = a.group
-    nset = tuple(sorted(set(normal)))
-    if not is_subgroup(grp, nset):
-        raise NotNormalError(f"{nset} is not a subgroup", witness=nset)
-    members = set(nset)
-    # the first (x, n) with x n x^-1 outside N, in one scan
-    rows = (_two_sided(grp, x, x) for x in grp.elements())
-    bad = next(((x, n) for x, row in enumerate(rows) for n in nset
-                if row[n] not in members), None)
-    if bad is not None:
-        raise NotNormalError(f"conjugate of {bad[1]} by {bad[0]} leaves the subgroup",
-                             witness=bad)
-    point_classes = UnionFind(a.n_points)  # joins each point to its translates by N
-    for n in nset:
-        for x in range(a.n_points):
-            y = a.act(n, x)
-            if y == x and n != grp.identity:
-                raise NotFreeError(f"element {n} fixes point {x}", element=n, point=x)
-            point_classes.union(x, y)
-
-    q, proj = quotient_group(grp, nset)
-    point_class, _ = point_classes.class_index()
-    reps = [x for x in range(a.n_points) if point_classes.find(x) == x]
-    coset_rep = [min(g for g in grp.elements() if proj[g] == c) for c in range(q.order)]
-    act_table = tuple(
-        tuple(point_class[a.act(coset_rep[c], r)] for r in reps)
-        for c in range(q.order)
-    )
-    qa = GroupAction(
-        group=q,
-        n_points=len(reps),
-        act_table=act_table,
-        point_labels=tuple(f"[{a.point_label(r)}]" for r in reps),
-    )
-    dom = build_action_groupoid(a)
-    cod = build_action_groupoid(qa)
-    obj_map = tuple(point_class[x] for x in range(a.n_points))
-    mor_map = tuple(
-        action_mor(qa, proj[g], point_class[x])
-        for g in grp.elements() for x in range(a.n_points)
-    )
-    f = GroupoidMap(dom, cod, obj_map, mor_map)
-    return QuotientComparison(map=f, is_fibration=is_fibration(f),
-                              is_weak_equivalence=is_weak_equivalence(f))
 
 
 def union_offsets(gs: Sequence[FiniteGroupoid]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -69,8 +69,6 @@ from .twisted import InvolutiveGroupData, build_double_coset_groupoid, validate_
 
 __all__ = [
     "group_catalog",
-    "transpose_inverse",
-    "v4_swap",
     "gamma_group_fixtures",
     "involutive_fixtures",
     "eg_gamma_action",
@@ -89,7 +87,6 @@ __all__ = [
     "random_sectionwise_map",
     "constant_presheaf_action",
     "skyscraper_presheaf_action",
-    "union_presheaf_action",
     "local_not_sectionwise_weq",
     "local_not_sectionwise_fib",
 ]
@@ -118,7 +115,7 @@ def group_catalog() -> dict:
     return dict(_catalog_groups())
 
 
-def transpose_inverse(g: FiniteGroup) -> tuple[int, ...]:
+def _transpose_inverse(g: FiniteGroup) -> tuple[int, ...]:
     """g -> transpose of the inverse, on ``gl2_f2()``; involutive since
     transposition and inversion commute."""
     by_label = {g.label(a): a for a in g.elements()}
@@ -129,7 +126,7 @@ def transpose_inverse(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(out)
 
 
-def v4_swap() -> tuple[int, ...]:
+def _v4_swap() -> tuple[int, ...]:
     """The factor-swapping automorphism of Z/2 x Z/2."""
     return tuple(y * 2 + x for x, y in (divmod(e, 2) for e in range(4)))
 
@@ -147,12 +144,12 @@ def gamma_group_fixtures() -> tuple[GroupGammaAction, ...]:
         GroupGammaAction(z4, inversion_automorphism(z4)),
         GroupGammaAction(z6, inversion_automorphism(z6)),
         GroupGammaAction(v4, identity_automorphism(v4)),
-        GroupGammaAction(v4, v4_swap()),
+        GroupGammaAction(v4, _v4_swap()),
         GroupGammaAction(s3, identity_automorphism(s3)),
         GroupGammaAction(s3, conjugation_automorphism(s3, S3_TRANSPOSITION)),
         GroupGammaAction(d4, identity_automorphism(d4)),
         GroupGammaAction(d4, conjugation_automorphism(d4, 1)),
-        GroupGammaAction(gl, transpose_inverse(gl)),
+        GroupGammaAction(gl, _transpose_inverse(gl)),
     )
     for a in fixtures:
         if not is_involutive_automorphism(a.group, a.bar):
@@ -176,13 +173,13 @@ def involutive_fixtures() -> tuple[InvolutiveGroupData, ...]:
         InvolutiveGroupData(z4, inversion_automorphism(z4), (0, 2)),
         InvolutiveGroupData(z4, inversion_automorphism(z4), (0, 1, 2, 3)),
         InvolutiveGroupData(z6, inversion_automorphism(z6), (0, 3)),
-        InvolutiveGroupData(v4, v4_swap(), (0, 3)),
+        InvolutiveGroupData(v4, _v4_swap(), (0, 3)),
         InvolutiveGroupData(s3, identity_automorphism(s3), (0, S3_TRANSPOSITION)),
         InvolutiveGroupData(s3, identity_automorphism(s3), (0, 3, 4)),
         InvolutiveGroupData(s3, conjugation_automorphism(s3, S3_TRANSPOSITION),
                             (0, S3_TRANSPOSITION)),
         InvolutiveGroupData(d4, conjugation_automorphism(d4, 1), (0, 4)),
-        InvolutiveGroupData(gl, transpose_inverse(gl), tuple(sorted((gl.identity, flip)))),
+        InvolutiveGroupData(gl, _transpose_inverse(gl), tuple(sorted((gl.identity, flip)))),
         InvolutiveGroupData(gl, identity_automorphism(gl), gl2_f2_upper_triangular(gl)),
     )
     for d in fixtures:
@@ -720,7 +717,7 @@ def skyscraper_presheaf_action(site: FiniteSite, t: int, a: GammaAction) -> Pres
     return PresheafGammaAction(x, tuple(secs))
 
 
-def union_presheaf_action(p: PresheafGammaAction, q: PresheafGammaAction) -> PresheafGammaAction:
+def _union_presheaf_action(p: PresheafGammaAction, q: PresheafGammaAction) -> PresheafGammaAction:
     site = p.presheaf.site
     at = tuple(gamma_union([p.at[u], q.at[u]]) for u in site.opens())
     res = {}
@@ -744,7 +741,7 @@ def random_presheaf_action(rng: random.Random) -> PresheafGammaAction:
             parts.append(skyscraper_presheaf_action(site, rng.randrange(site.n_points), a))
     out = parts[0]
     for part in parts[1:]:
-        out = union_presheaf_action(out, part)
+        out = _union_presheaf_action(out, part)
     return out
 
 

@@ -25,9 +25,7 @@ __all__ = [
     "gl2_f2",
     "gl2_f2_upper_triangular",
     "is_subgroup",
-    "is_normal",
     "induced_subgroup",
-    "quotient_group",
     "is_automorphism",
     "is_involutive_automorphism",
     "identity_automorphism",
@@ -71,14 +69,14 @@ class FiniteGroup:
 
 
 def validate_group(g: FiniteGroup) -> list[str]:
-    """A label table too short to name every element, then the group axioms,
+    """A label table of the wrong length, then the group axioms,
     as a report; empty means valid.  A table or ``inv_table`` of the wrong
     shape or with an entry out of range ends the report.  Associativity is
     decided as for a category with one object, by Light's test on rows of
     ``table`` (``util._associativity_report``); no pair table is built."""
     n = g.order
     report = []
-    if g.labels is not None and len(g.labels) < n:
+    if g.labels is not None and len(g.labels) != n:
         report.append(f"labels: labels has {len(g.labels)} entries, expected {n}")
     if len(g.inv_table) != n:
         report.append(f"shape: inv table has length {len(g.inv_table)}, expected {n}")
@@ -290,34 +288,12 @@ def is_subgroup(g: FiniteGroup, subset: Sequence[int]) -> bool:
     return all(g.mul(a, b) in s for a in s for b in s) and all(g.inv(a) in s for a in s)
 
 
-def is_normal(g: FiniteGroup, subset: Sequence[int]) -> bool:
-    s = set(subset)
-    rows = (_two_sided(g, x, x) for x in g.elements())  # row x reads x n x^-1 at n
-    return all(row[n] in s for row in rows for n in s)
-
-
 def _two_sided(g: FiniteGroup, left: int, right: int) -> tuple[int, ...]:
     """The row x -> left x right^-1 over the elements of ``g``: row ``left``
     of the table, each entry then read at the column of right^-1.  Twisted
     conjugation, the double coset action and conjugation are all such rows."""
     table, col = g.table, g.inv_table[right]
     return tuple([table[y][col] for y in table[left]])
-
-
-def _on_classes(g: FiniteGroup, reps: Sequence[int], class_of, name: str,
-                labels: tuple[str, ...]) -> FiniteGroup:
-    """The group on ``reps`` whose element i is ``reps[i]``, read from the
-    rows of ``g`` through ``class_of``, a map from elements of ``g`` to local
-    ids: row i is ``class_of`` of row ``reps[i]`` at the columns ``reps``.
-    ``class_of`` raises ``KeyError`` on an element it does not cover."""
-    return FiniteGroup(
-        table=tuple(tuple([class_of[row[b]] for b in reps])
-                    for row in (g.table[a] for a in reps)),
-        identity=class_of[g.identity],
-        inv_table=tuple(class_of[g.inv_table[a]] for a in reps),
-        name=name,
-        labels=labels,
-    )
 
 
 def induced_subgroup(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -331,32 +307,17 @@ def induced_subgroup(g: FiniteGroup, elements: Sequence[int]) -> tuple[FiniteGro
     emb = tuple(sorted(set(elements)))
     index = {a: i for i, a in enumerate(emb)}
     try:
-        return _on_classes(g, emb, index, f"{g.name}<{len(emb)}>",
-                           tuple(g.label(a) for a in emb)), emb
+        sub = FiniteGroup(
+            table=tuple(tuple([index[row[b]] for b in emb])
+                        for row in (g.table[a] for a in emb)),
+            identity=index[g.identity],
+            inv_table=tuple(index[g.inv_table[a]] for a in emb),
+            name=f"{g.name}<{len(emb)}>",
+            labels=tuple(g.label(a) for a in emb),
+        )
     except KeyError:
         raise ValueError(f"{emb} is not a subgroup of {g.name}") from None
-
-
-def quotient_group(g: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup; cosets are represented by their least element.
-
-    Returns the quotient and the projection table element -> coset id.  The
-    rows of ``g`` are read through the projection.
-    """
-    n = tuple(set(normal))
-    if not is_subgroup(g, n):
-        raise ValueError("cannot quotient by a non-subgroup")
-    if not is_normal(g, n):
-        raise ValueError("cannot quotient by a non-normal subgroup")
-    # the least element not yet in a coset is the least of its own coset
-    proj, reps = [None] * g.order, []
-    for a in g.elements():
-        if proj[a] is None:
-            for x in n:
-                proj[g.mul(x, a)] = len(reps)
-            reps.append(a)
-    return _on_classes(g, reps, proj, f"{g.name}/N",
-                       tuple(f"[{g.label(rep)}]" for rep in reps)), tuple(proj)
+    return sub, emb
 
 
 def is_automorphism(g: FiniteGroup, f: Sequence[int]) -> bool:

@@ -62,10 +62,8 @@ __all__ = [
     "validate_presheaf_gamma_action",
     "terminal_presheaf",
     "constant_presheaf",
-    "point_filter_category",
     "stalk",
     "stalk_map",
-    "diagram_at_point",
     "is_sectionwise_weq",
     "is_sectionwise_fib",
     "is_local_weq",
@@ -121,7 +119,7 @@ class FiniteSite:
 def validate_site(s: FiniteSite) -> list[str]:
     report = []
     n = s.n_opens
-    if len(s.point_open) < s.n_points:
+    if len(s.point_open) != s.n_points:
         return ["shape: one least open per point expected"]
     for (u, v) in s.leq:
         if not (0 <= u < n and 0 <= v < n):
@@ -327,7 +325,7 @@ def constant_presheaf(site: FiniteSite, g: FiniteGroupoid) -> GroupoidPresheaf:
     return GroupoidPresheaf(site=site, sections=tuple(g for _ in site.opens()), res=res)
 
 
-def point_filter_category(site: FiniteSite, t: int) -> tuple[FiniteCategory, tuple[int, ...]]:
+def _point_filter_category(site: FiniteSite, t: int) -> tuple[FiniteCategory, tuple[int, ...]]:
     """The neighborhood filter of a point as a finite (filtered) category.
 
     Arrows run from larger opens to smaller ones, the restriction direction.
@@ -357,7 +355,7 @@ def stalk(x: GroupoidPresheaf, t: int) -> Stalk:
     along the covers, or raises ``InvariantViolation`` when the germ at the
     least open is not an isomorphism or a class gets two values.
     """
-    cat, opens = point_filter_category(x.site, t)
+    cat, opens = _point_filter_category(x.site, t)
     gpds = [x.sections[u] for u in opens]
     maps = [x.res_map(opens[i], opens[j]) for i, j in zip(cat.src, cat.tgt)]
     co = colimit_groupoids(cat, gpds, maps)
@@ -390,9 +388,9 @@ def stalk_map(f: PresheafMap, t: int) -> GroupoidMap:
                         [f.at[u].then(sc.germs[u]) for u in sd.opens])
 
 
-def diagram_at_point(a: PresheafGammaAction, t: int) -> FilteredDiagram:
+def _diagram_at_point(a: PresheafGammaAction, t: int) -> FilteredDiagram:
     """The neighborhood filter of t as a diagram of groupoids with involution."""
-    cat, opens = point_filter_category(a.presheaf.site, t)
+    cat, opens = _point_filter_category(a.presheaf.site, t)
     nodes = tuple(a.at[u] for u in opens)
     arrows = tuple(
         EquivariantMap(a.presheaf.res_map(opens[i], opens[j]), nodes[i], nodes[j])
@@ -450,7 +448,7 @@ def stalk_commutation_check(a: PresheafGammaAction, t: int,
     computes each open's fixed points once."""
     opens = a.presheaf.site.filter_opens(t)
     c = hfp_colimit_comparison(
-        diagram_at_point(a, t),
+        _diagram_at_point(a, t),
         node_fps=None if open_fps is None else [open_fps[u] for u in opens])
     _checked_germs(a.presheaf, t, opens, [e.map for e in c.colimit.cocones])
     return c

@@ -23,7 +23,7 @@ from grpd.corpus import (
 )
 from grpd.groups import cyclic_group
 from grpd.jsonio import SchemaError, dumps, load_document
-from grpd.presheaf import point_filter_category
+from grpd.presheaf import _point_filter_category
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def corpus_indexes() -> list[tuple]:
     cats = [random_filtered_diagram(random.Random(seed)).index for seed in range(200)]
     for seed in range(50):
         site = random_site(random.Random(seed))
-        cats.extend(point_filter_category(site, t)[0] for t in site.points())
+        cats.extend(_point_filter_category(site, t)[0] for t in site.points())
     cats += [_retract_diagram(random.Random(0)).index,
              _fold_diagram(random.Random(0)).index,
              nonfiltered_control_diagram().index]

@@ -460,17 +460,27 @@ def short_index_tgt():
     return doc
 
 
-# documents on which ``validate`` used to raise instead of reporting
+def overlong_point_open():
+    doc = json.loads(dumps(random_site(random.Random(5))))
+    doc["point_open"].append(99)
+    return doc
+
+
+# documents on which ``validate`` used to raise or pass instead of reporting
 @pytest.mark.parametrize("doc, code, out, err", [
     (group_doc(table=[[0, 1], [1]]), 2, "", "group: row 1 has length 1, expected 2"),
     (group_doc(labels=["e"]), 1,
      "labels: labels has 1 entries, expected 6\ninvalid: 1 problem(s)\n", None),
     (edited(random_site(random.Random(5)), point_open=[]), 1,
      "shape: one least open per point expected\ninvalid: 1 problem(s)\n", None),
+    (overlong_point_open(), 1,
+     "shape: one least open per point expected\ninvalid: 1 problem(s)\n", None),
+    (group_doc(labels=list("abcdefg")), 1,
+     "labels: labels has 7 entries, expected 6\ninvalid: 1 problem(s)\n", None),
     (group_doc(kind=[]), 2, "", "unknown kind []"),
     (short_index_tgt(), 2, "", "diagram: index tgt is shorter than src"),
-], ids=["group-short-row", "group-labels", "site-point-open", "kind-not-a-string",
-        "diagram-short-tgt"])
+], ids=["group-short-row", "group-labels", "site-point-open", "site-point-open-long",
+        "group-labels-long", "kind-not-a-string", "diagram-short-tgt"])
 def test_validate_reports_malformed_documents_without_a_traceback(
         tmp_path, capsys, doc, code, out, err):
     f = write_json(tmp_path, "bad.json", doc)

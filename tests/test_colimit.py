@@ -35,7 +35,7 @@ from grpd.corpus import (_bar_power_diagram, _chain_diagram, _fold_diagram, _ret
 from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, equivariance_witness,
                         hfp, hfp_map, set_as_groupoid, trivial_action, validate_gamma_action)
 from grpd.groups import cyclic_group, inversion_automorphism
-from grpd.presheaf import diagram_at_point
+from grpd.presheaf import _diagram_at_point
 from grpd.util import UnionFind
 
 
@@ -377,7 +377,7 @@ def colimit_test_diagrams():
     for seed in range(4):
         a = random_presheaf_action(random.Random(f"colimit-reference-presheaf:{seed}"))
         for t in a.presheaf.site.points():
-            yield diagram_at_point(a, t)
+            yield _diagram_at_point(a, t)
     yield nonfiltered_control_diagram()
     yield clashing_diagram()
 

@@ -8,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 from grpd import presheaf, suites
 from grpd.core import (
     _category_report,
-    NotFreeError,
-    action_mor,
-    NotNormalError,
+    _component_index,
     automorphism_group,
     build_action_groupoid,
     build_bg,
     build_eg,
-    component_index,
     components,
     discrete_groupoid,
     disjoint_union,
@@ -25,7 +22,6 @@ from grpd.core import (
     is_fibration,
     is_weak_equivalence,
     product,
-    quotient_comparison,
     relabel,
     terminal_groupoid,
     validate_functor,
@@ -52,14 +48,12 @@ from grpd.corpus import (
     swap_corpus,
 )
 from grpd.gamma import hfp, hfp_map
-from grpd.presheaf import point_filter_category
+from grpd.presheaf import _point_filter_category
 from grpd.groups import (
     FiniteGroup,
     GroupAction,
     cyclic_group,
-    dihedral_group,
     left_multiplication_action,
-    quotient_group,
     symmetric_group,
     trivial_point_action,
     validate_group,
@@ -273,7 +267,7 @@ def corpus_indices():
     for _ in range(10):
         site = random_site(rng)
         for t in site.points():
-            yield point_filter_category(site, t)[0]
+            yield _point_filter_category(site, t)[0]
 
 
 def test_generators_generate_every_index_of_the_corpus():
@@ -444,7 +438,7 @@ def hom_pair_is_weak_equivalence(f):
                 return False
             if len(ms) != len(cod.hom(fx, f.obj_map[y])):
                 return False
-    comp_of = component_index(cod)
+    comp_of = _component_index(cod)
     hit = {comp_of[f.obj_map[x]] for x in dom.objects()}
     return all(comp_of[y] in hit for y in cod.objects())
 
@@ -478,89 +472,6 @@ def test_the_stalk_suite_decides_functors_only(monkeypatch):
     passed, _ = suite_stalk_commutation(0, "small")
     assert passed and len(taken) > 50
     assert all(validate_functor(f) == [] for f in taken)
-
-
-def test_quotient_comparison_free_normal():
-    a = left_multiplication_action(cyclic_group(4))
-    q = quotient_comparison(a, (0, 2))
-    assert q.is_fibration and q.is_weak_equivalence and q.is_acyclic_fibration
-    assert validate_functor(q.map) == []
-    assert q.map.cod.n_objects == 2
-
-
-def reference_quotient_map(a, normal):
-    """The comparison map as built before the point classes came from a
-    union-find: the orbits of N, listed by least point, are its translates."""
-    grp = a.group
-    nset = tuple(sorted(set(normal)))
-    q, proj = quotient_group(grp, nset)
-    point_orbits = sorted({tuple(sorted({a.act(n, x) for n in nset}))
-                           for x in range(a.n_points)})
-    point_class = {x: i for i, orbit in enumerate(point_orbits) for x in orbit}
-    coset_rep = [min(g for g in grp.elements() if proj[g] == c) for c in range(q.order)]
-    qa = GroupAction(
-        group=q,
-        n_points=len(point_orbits),
-        act_table=tuple(
-            tuple(point_class[a.act(coset_rep[c], orbit[0])] for orbit in point_orbits)
-            for c in range(q.order)),
-        point_labels=tuple(f"[{a.point_label(orbit[0])}]" for orbit in point_orbits),
-    )
-    cod = build_action_groupoid(qa)
-    obj_map = tuple(point_class[x] for x in range(a.n_points))
-    mor_map = tuple(action_mor(qa, proj[g], point_class[x])
-                    for g in grp.elements() for x in range(a.n_points))
-    return GroupoidMap(build_action_groupoid(a), cod, obj_map, mor_map)
-
-
-def two_copies(a):
-    """The action on two disjoint copies of the points of ``a``."""
-    n = a.n_points
-    return GroupAction(a.group, 2 * n,
-                       tuple(row + tuple(n + y for y in row) for row in a.act_table))
-
-
-def test_quotient_comparison_matches_the_orbit_reference():
-    s3, c4, d4 = symmetric_group(3), cyclic_group(4), dihedral_group(4)
-    cases = [
-        (left_multiplication_action(c4), (0, 2)),
-        (left_multiplication_action(s3), (0, 3, 4)),
-        (left_multiplication_action(d4), (0, 4)),
-        (two_copies(left_multiplication_action(c4)), (0, 2)),
-        (two_copies(left_multiplication_action(s3)), (0, 3, 4)),
-    ]
-    for a, normal in cases:
-        q = quotient_comparison(a, normal)
-        ref = reference_quotient_map(a, normal)
-        assert (q.map.obj_map, q.map.mor_map) == (ref.obj_map, ref.mor_map)
-        assert q.map.cod == ref.cod
-        assert q.map.cod.obj_labels == ref.cod.obj_labels
-        assert q.is_fibration == is_fibration(ref)
-        assert q.is_weak_equivalence == is_weak_equivalence(ref)
-
-
-def test_quotient_comparison_rejects_non_normal():
-    g = symmetric_group(3)
-    a = left_multiplication_action(g)
-    with pytest.raises(NotNormalError) as exc:
-        quotient_comparison(a, (0, 2))
-    # the first (x, n) in order whose conjugate x n x^-1 leaves the subgroup
-    assert exc.value.witness == next(
-        (x, n) for x in g.elements() for n in (0, 2)
-        if g.mul(g.mul(x, n), g.inv(x)) not in (0, 2))
-
-
-def test_quotient_comparison_rejects_non_subgroup():
-    a = left_multiplication_action(cyclic_group(4))
-    with pytest.raises(NotNormalError):
-        quotient_comparison(a, (1, 3))
-
-
-def test_quotient_comparison_rejects_non_free():
-    a = trivial_point_action(cyclic_group(2))
-    with pytest.raises(NotFreeError) as exc:
-        quotient_comparison(a, (0, 1))
-    assert exc.value.element == 1 and exc.value.point == 0
 
 
 def test_disjoint_union_map_of_identities():
@@ -753,7 +664,7 @@ def test_component_index_numbers_components_in_order():
                                     want[z] = n_classes
                                     todo.append(z)
                 n_classes += 1
-        assert component_index(g) == want
+        assert _component_index(g) == want
         assert len(components(g)) == n_classes
-    assert component_index(disjoint_union([discrete_groupoid(2), build_eg(cyclic_group(2))])) \
+    assert _component_index(disjoint_union([discrete_groupoid(2), build_eg(cyclic_group(2))])) \
         == [0, 1, 2, 2]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -96,3 +97,48 @@ def test_only_the_named_functions_read_labels():
         "core._label_rules", "core._label_report", "core.relabel",
         "core.automorphism_group", "jsonio._dump_groupoid", "jsonio.to_dot",
     }
+
+
+def reached_from_the_cli_and_the_suites():
+    """Every top-level name of the package that the ``cli`` module or a
+    ``suites.suite_*`` function reaches by name: a ``Name`` or ``Attribute``
+    in a reached definition reaches every top-level definition of that name,
+    in any module, and so on transitively."""
+    defined, roots = {}, []
+    for path in sorted(Path(grpd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem == "cli":
+            roots.append(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if path.stem == "suites" and node.name.startswith("suite_"):
+                    roots.append(node)
+            elif isinstance(node, ast.Assign):
+                names = [t.id for target in node.targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defined.setdefault(name, []).append(node)
+    reached, todo = set(), roots
+    while todo:
+        node = todo.pop()
+        for child in ast.walk(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in defined and name not in reached:
+                reached.add(name)
+                todo.extend(defined[name])
+    return reached
+
+
+def test_every_public_function_and_class_backs_a_command_or_a_suite():
+    # corpus is exempt: its fixtures feed the tests and the bench
+    public = [(module.__name__, name) for module in grpd_modules()
+              if module.__name__ != "grpd.corpus" for name in module.__all__
+              if inspect.isfunction(getattr(module, name))
+              or inspect.isclass(getattr(module, name))]
+    reached = reached_from_the_cli_and_the_suites()
+    assert len(public) > 100
+    assert [(module, name) for module, name in public if name not in reached] == []

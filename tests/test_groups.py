@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grpd.core import build_action_groupoid, components, validate_groupoid
-from grpd.corpus import S3_TRANSPOSITION, group_catalog, transpose_inverse, v4_swap
+from grpd.corpus import S3_TRANSPOSITION, _transpose_inverse, _v4_swap, group_catalog
 from grpd.groups import (
     FiniteGroup,
     GroupAction,
@@ -22,10 +22,8 @@ from grpd.groups import (
     inversion_automorphism,
     is_automorphism,
     is_involutive_automorphism,
-    is_normal,
     is_subgroup,
     left_multiplication_action,
-    quotient_group,
     symmetric_group,
     trivial_group,
     trivial_point_action,
@@ -83,8 +81,6 @@ def test_subgroup_closure_a3():
     s3 = symmetric_group(3)
     a3 = (0, 3, 4)
     assert is_subgroup(s3, a3)
-    assert is_normal(s3, a3)
-    assert not is_normal(s3, (s3.identity, S3_TRANSPOSITION))
 
 
 def test_induced_subgroup_embedding_is_a_homomorphism():
@@ -94,18 +90,6 @@ def test_induced_subgroup_embedding_is_a_homomorphism():
     for a in sub.elements():
         for b in sub.elements():
             assert emb[sub.mul(a, b)] == s3.mul(emb[a], emb[b])
-
-
-def test_quotient_s3_by_a3():
-    s3 = symmetric_group(3)
-    a3 = (0, 3, 4)
-    q, proj = quotient_group(s3, a3)
-    assert q.order == 2
-    for g in s3.elements():
-        for h in s3.elements():
-            assert proj[s3.mul(g, h)] == q.mul(proj[g], proj[h])
-    with pytest.raises(ValueError):
-        quotient_group(s3, (s3.identity, S3_TRANSPOSITION))
 
 
 def test_dihedral_center():
@@ -118,7 +102,7 @@ def test_dihedral_center():
 def test_v4_swap_is_an_involutive_automorphism():
     assert is_involutive_automorphism(direct_product(cyclic_group(2),
                                                      cyclic_group(2)),
-                                      v4_swap())
+                                      _v4_swap())
 
 
 def test_gl2_f2():
@@ -126,7 +110,7 @@ def test_gl2_f2():
     assert g.order == 6
     assert not all(g.mul(a, b) == g.mul(b, a)
                    for a in g.elements() for b in g.elements())
-    theta = transpose_inverse(g)
+    theta = _transpose_inverse(g)
     assert is_involutive_automorphism(g, theta)
     upper = gl2_f2_upper_triangular(g)
     assert len(upper) == 2
@@ -285,38 +269,6 @@ def entrywise_induced_subgroup(g, elements):
     return sub, emb
 
 
-def entrywise_is_normal(g, subset):
-    """Whether every x n x^-1 lies in the subset, one product at a time."""
-    s = set(subset)
-    return all(g.mul(g.mul(x, n), g.inv(x)) in s for x in g.elements() for n in s)
-
-
-def entrywise_quotient_group(g, normal):
-    """The construction ``quotient_group`` replaced: cosets keyed by their
-    least element, then one product at a time through the projection."""
-    n = set(normal)
-    if not is_subgroup(g, tuple(n)):
-        raise ValueError("cannot quotient by a non-subgroup")
-    if not entrywise_is_normal(g, tuple(n)):
-        raise ValueError("cannot quotient by a non-normal subgroup")
-    cosets = {}
-    for a in g.elements():
-        cosets.setdefault(min(g.mul(x, a) for x in n), []).append(a)
-    reps = sorted(cosets)
-    proj = [0] * g.order
-    for i, rep in enumerate(reps):
-        for a in cosets[rep]:
-            proj[a] = i
-    q = FiniteGroup(
-        table=tuple(tuple(proj[g.mul(a, b)] for b in reps) for a in reps),
-        identity=proj[g.identity],
-        inv_table=tuple(proj[g.inv(rep)] for rep in reps),
-        name=f"{g.name}/N",
-        labels=tuple(f"[{g.label(rep)}]" for rep in reps),
-    )
-    return q, tuple(proj)
-
-
 def outcome(construct, g, subset):
     """The group and map ``construct`` gives, every field compared, or the
     message of the ``ValueError`` it raises."""
@@ -329,18 +281,14 @@ def outcome(construct, g, subset):
 
 def test_subgroups_and_quotients_match_the_entrywise_constructions():
     # every subset of every catalog group, the empty one included
-    counts = {"subgroups": 0, "normal": 0}
+    counts = {"subgroups": 0}
     for g in group_catalog().values():
         for k in range(g.order + 1):
             for subset in combinations(g.elements(), k):
-                assert is_normal(g, subset) == entrywise_is_normal(g, subset)
                 want = outcome(entrywise_induced_subgroup, g, subset)
                 assert outcome(induced_subgroup, g, subset[::-1]) == want
                 counts["subgroups"] += not isinstance(want, str)
-                want = outcome(entrywise_quotient_group, g, subset)
-                assert outcome(quotient_group, g, subset) == want
-                counts["normal"] += not isinstance(want, str)
-    assert counts == {"subgroups": 39, "normal": 29}
+    assert counts == {"subgroups": 39}
 
 
 def entrywise_direct_product(a, b):

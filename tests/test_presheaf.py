@@ -32,17 +32,17 @@ from grpd.gamma import (EquivariantMap, GammaAction, hfp, hfp_map, trivial_actio
                         validate_gamma_action)
 from grpd.groups import cyclic_group
 from grpd.presheaf import (
+    _diagram_at_point,
+    _point_filter_category,
     FiniteSite,
     GroupoidPresheaf,
     PresheafGammaAction,
     PresheafMap,
     constant_presheaf,
-    diagram_at_point,
     is_local_fib,
     is_local_weq,
     is_sectionwise_fib,
     is_sectionwise_weq,
-    point_filter_category,
     presheaf_hfp,
     sierpinski_site,
     site_from_open_sets,
@@ -121,7 +121,7 @@ def test_point_filter_category_is_filtered():
 
     s = sierpinski_site()
     for t in s.points():
-        cat, opens = point_filter_category(s, t)
+        cat, opens = _point_filter_category(s, t)
         assert validate_category(cat) == []
         assert filtered_witness(cat) is None
         assert opens == s.filter_opens(t)
@@ -173,7 +173,7 @@ def test_diagram_at_point_validates():
     s = sierpinski_site()
     a = skyscraper_presheaf_action(s, 0, bz2_trivial())
     for t in s.points():
-        assert validate_diagram(diagram_at_point(a, t)) == []
+        assert validate_diagram(_diagram_at_point(a, t)) == []
 
 
 def test_sectionwise_implies_local_on_a_constant_map():
@@ -312,7 +312,7 @@ def test_stalks_agree_with_the_all_arrows_colimit():
         a = random_presheaf_action(random.Random(f"stalk-all-arrows:{seed}"))
         for x in (a.presheaf, presheaf_hfp(a).presheaf):
             for t in x.site.points():
-                cat, opens = point_filter_category(x.site, t)
+                cat, opens = _point_filter_category(x.site, t)
                 want = all_arrows_colimit_groupoids(
                     cat, [x.sections[u] for u in opens],
                     [x.res_map(opens[i], opens[j]) for i, j in zip(cat.src, cat.tgt)])
@@ -457,7 +457,7 @@ def pairwise_validate_site(s: FiniteSite) -> list[str]:
     each pair of opens, every lower bound against every other."""
     report = []
     n = s.n_opens
-    if len(s.point_open) < s.n_points:
+    if len(s.point_open) != s.n_points:
         return ["shape: one least open per point expected"]
     for (u, v) in s.leq:
         if not (0 <= u < n and 0 <= v < n):

@@ -68,10 +68,10 @@ def test_invalid_data_is_reported():
     assert validate_involutive_data(
         InvolutiveGroupData(group=s3, theta=shift, b_elements=(0,))) != []
     # subgroup not stable under theta
-    from grpd.corpus import group_catalog, transpose_inverse
+    from grpd.corpus import _transpose_inverse, group_catalog
     gl = group_catalog()["GL2F2"]
     from grpd.groups import gl2_f2_upper_triangular
-    bad = InvolutiveGroupData(group=gl, theta=transpose_inverse(gl),
+    bad = InvolutiveGroupData(group=gl, theta=_transpose_inverse(gl),
                               b_elements=gl2_f2_upper_triangular(gl))
     assert validate_involutive_data(bad) != []
 
