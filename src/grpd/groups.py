@@ -122,7 +122,7 @@ def _one_object(rows) -> tuple:
 def _from_table(table, name, labels=None) -> FiniteGroup:
     n = len(table)
     for a, row in enumerate(table):
-        if len(row) < n:
+        if len(row) != n:
             raise ValueError(f"row {a} has length {len(row)}, expected {n}")
     units = [e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n))]
     if not units:

@@ -469,6 +469,8 @@ def overlong_point_open():
 # documents on which ``validate`` used to raise or pass instead of reporting
 @pytest.mark.parametrize("doc, code, out, err", [
     (group_doc(table=[[0, 1], [1]]), 2, "", "group: row 1 has length 1, expected 2"),
+    (group_doc(table=[[*row, 0] if a == 0 else row for a, row in enumerate(group_doc()["table"])]),
+     2, "", "group: row 0 has length 7, expected 6"),
     (group_doc(labels=["e"]), 1,
      "labels: labels has 1 entries, expected 6\ninvalid: 1 problem(s)\n", None),
     (edited(random_site(random.Random(5)), point_open=[]), 1,
@@ -479,8 +481,8 @@ def overlong_point_open():
      "labels: labels has 7 entries, expected 6\ninvalid: 1 problem(s)\n", None),
     (group_doc(kind=[]), 2, "", "unknown kind []"),
     (short_index_tgt(), 2, "", "diagram: index tgt is shorter than src"),
-], ids=["group-short-row", "group-labels", "site-point-open", "site-point-open-long",
-        "group-labels-long", "kind-not-a-string", "diagram-short-tgt"])
+], ids=["group-short-row", "group-long-row", "group-labels", "site-point-open",
+        "site-point-open-long", "group-labels-long", "kind-not-a-string", "diagram-short-tgt"])
 def test_validate_reports_malformed_documents_without_a_traceback(
         tmp_path, capsys, doc, code, out, err):
     f = write_json(tmp_path, "bad.json", doc)

@@ -6,9 +6,7 @@ import pytest
 
 from grpd.colimit import (
     FilteredDiagram,
-    GroupoidColimit,
     NotFilteredError,
-    _descend,
     _induced_map,
     _poset_category,
     colimit,
@@ -19,24 +17,22 @@ from grpd.colimit import (
 )
 from grpd.core import (
     FiniteCategory,
-    FiniteGroupoid,
     GroupoidMap,
     InvariantViolation,
     build_bg,
     discrete_groupoid,
     identity_map,
-    union_offsets,
     validate_category,
     validate_functor,
 )
 from grpd.corpus import (_bar_power_diagram, _chain_diagram, _fold_diagram, _retract_diagram,
                          nonfiltered_control_diagram, random_filtered_diagram,
                          random_presheaf_action, random_site)
-from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, equivariance_witness,
-                        hfp, hfp_map, set_as_groupoid, trivial_action, validate_gamma_action)
+from grpd.gamma import (EquivariantMap, GammaAction, NotEquivariantError, hfp, hfp_map,
+                        set_as_groupoid, trivial_action)
 from grpd.groups import cyclic_group, inversion_automorphism
 from grpd.presheaf import _diagram_at_point
-from grpd.util import UnionFind
+import reference
 
 
 def two_chain():
@@ -54,19 +50,6 @@ def identity_arrow(a):
     return EquivariantMap(identity_map(a.carrier), a, a)
 
 
-def all_pairs_poset_comp(n, leq):
-    """The composition of ``_poset_category``, found by scanning every pair
-    of arrows for a shared middle object."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if leq(i, j)]
-    arrow_id = {p: k for k, p in enumerate(pairs)}
-    comp = {}
-    for (i, j) in pairs:
-        for (j2, k) in pairs:
-            if j == j2:
-                comp[(arrow_id[(i, j)], arrow_id[(j2, k)])] = arrow_id[(i, k)]
-    return comp
-
-
 def test_poset_category_agrees_with_the_all_pairs_composition():
     # the same entries in the same insertion order, which fixes the line
     # order of the functoriality reports that walk ``comp``
@@ -80,7 +63,7 @@ def test_poset_category_agrees_with_the_all_pairs_composition():
             posets.append((len(opens), lambda i, j, s=site, o=opens: s.is_leq(o[j], o[i])))
     for n, leq in posets:
         cat, _ = _poset_category(n, leq)
-        want = all_pairs_poset_comp(n, leq)
+        want = reference.poset_comp(n, leq)
         assert list(cat.comp.items()) == list(want.items())
         assert validate_category(cat) == []
 
@@ -263,82 +246,7 @@ def test_colimit_rejects_a_non_equivariant_arrow():
 
 
 # ---------------------------------------------------------------------------
-# colimit_groupoids against the table-reading routine it replaced
-
-
-class DictUnionFind:
-    """Union-find over hashable items, keeping the smallest item as root."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(groups[r]) for r in sorted(groups)]
-
-
-def reference_colimit_groupoids(index, gpds, maps):
-    """Dict-backed union-find and every node's full ``comp`` table."""
-    obj_off, mor_off = union_offsets(gpds)
-    uf_obj = DictUnionFind(range(sum(g.n_objects for g in gpds)))
-    uf_mor = DictUnionFind(range(sum(g.n_morphisms for g in gpds)))
-    for u in index.morphisms():
-        i, j = index.src[u], index.tgt[u]
-        f = maps[u]
-        for x in gpds[i].objects():
-            uf_obj.union(obj_off[i] + x, obj_off[j] + f.obj_map[x])
-        for k in gpds[i].morphisms():
-            uf_mor.union(mor_off[i] + k, mor_off[j] + f.mor_map[k])
-
-    def class_maps(uf, offsets, sizes):
-        classes = uf.classes()
-        class_of = [0] * sum(sizes)
-        for ci, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = ci
-        return ([tuple(class_of[off:off + n]) for off, n in zip(offsets, sizes)],
-                len(classes))
-
-    obj_cls, n_obj = class_maps(uf_obj, obj_off, [g.n_objects for g in gpds])
-    mor_cls, n_mor = class_maps(uf_mor, mor_off, [g.n_morphisms for g in gpds])
-    src = _descend("source", n_mor, mor_cls,
-                   [[oc[x] for x in g.src] for oc, g in zip(obj_cls, gpds)])
-    tgt = _descend("target", n_mor, mor_cls,
-                   [[oc[x] for x in g.tgt] for oc, g in zip(obj_cls, gpds)])
-    inv = _descend("inverse", n_mor, mor_cls,
-                   [[mc[k] for k in g.inv] for mc, g in zip(mor_cls, gpds)])
-    id_of = _descend("identity", n_obj, obj_cls,
-                     [[mc[k] for k in g.id_of] for mc, g in zip(mor_cls, gpds)])
-    comp = {}
-    for mc, g in zip(mor_cls, gpds):
-        for (m1, m2), m3 in g.comp.items():
-            key = (mc[m1], mc[m2])
-            val = mc[m3]
-            if comp.get(key, val) != val:
-                raise NotFilteredError(
-                    f"composition on classes is not well-defined at {key}",
-                    witness=key)
-            comp[key] = val
-    colim = FiniteGroupoid(n_obj, src, tgt, id_of, inv, comp)
-    cocones = tuple(GroupoidMap(dom=g, cod=colim, obj_map=oc, mor_map=mc)
-                    for g, oc, mc in zip(gpds, obj_cls, mor_cls))
-    return GroupoidColimit(groupoid=colim, cocones=cocones)
+# colimit_groupoids against the reference
 
 
 def colimit_outcome(routine, index, gpds, maps):
@@ -389,7 +297,7 @@ def test_colimit_groupoids_agrees_with_the_table_reading_reference():
             # the routine under test runs first, before the reference
             # tabulates any node
             got = colimit_outcome(colimit_groupoids, index, gpds, maps)
-            want = colimit_outcome(reference_colimit_groupoids, index, gpds, maps)
+            want = colimit_outcome(reference.colimit_groupoids, index, gpds, maps)
             assert got == want
             outcomes.add(got[0])
     assert outcomes == {"colimit", "not filtered"}
@@ -408,28 +316,13 @@ def test_colimit_of_fixed_points_builds_no_node_table():
 # maps out of a colimit, read through the cocones by ``_induced_map``
 
 
-def reference_involution(d, co):
-    """The induced involution as two ``_descend`` calls over the cocones of
-    the carriers' colimit ``co``, one table per node."""
-    g = co.groupoid
-    bar_obj = _descend("induced involution on objects", g.n_objects,
-                       [f.obj_map for f in co.cocones],
-                       [[f.obj_map[y] for y in a.bar_obj]
-                        for f, a in zip(co.cocones, d.nodes)])
-    bar_mor = _descend("induced involution on morphisms", g.n_morphisms,
-                       [f.mor_map for f in co.cocones],
-                       [[f.mor_map[k] for k in a.bar_mor]
-                        for f, a in zip(co.cocones, d.nodes)])
-    return bar_obj, bar_mor
-
-
 def test_induced_involution_agrees_with_the_per_node_reference():
     diagrams = [random_filtered_diagram(random.Random(seed)) for seed in range(50)]
     for d in diagrams + [nonfiltered_control_diagram()]:
         res = colimit(d, require_filtered=False)
         co = colimit_groupoids(d.index, [a.carrier for a in d.nodes],
                                [e.map for e in d.arrows])
-        assert (res.action.bar_obj, res.action.bar_mor) == reference_involution(d, co)
+        assert (res.action.bar_obj, res.action.bar_mor) == reference.induced_involution(d, co)
 
 
 def test_induced_map_names_the_first_class_its_maps_send_apart():
@@ -541,56 +434,13 @@ def test_invalid_arrows_give_the_recorded_outcome(name):
 
 
 # ---------------------------------------------------------------------------
-# generator arrows and terminal nodes against the all-arrows routine
-
-
-def all_arrows_colimit_groupoids(index, gpds, maps):
-    """``colimit_groupoids`` as it was before it read generators and terminal
-    nodes: classes joined along every arrow but identity maps on one node,
-    tables and composition read off every node."""
-    obj_off, mor_off = union_offsets(gpds)
-    uf_obj = UnionFind(sum(g.n_objects for g in gpds))
-    uf_mor = UnionFind(sum(g.n_morphisms for g in gpds))
-    for u in index.morphisms():
-        i, j = index.src[u], index.tgt[u]
-        f = maps[u]
-        if (i == j and f.obj_map == tuple(gpds[i].objects())
-                and f.mor_map == tuple(gpds[i].morphisms())):
-            continue  # an identity map identifies nothing
-        for x in gpds[i].objects():
-            uf_obj.union(obj_off[i] + x, obj_off[j] + f.obj_map[x])
-        for k in gpds[i].morphisms():
-            uf_mor.union(mor_off[i] + k, mor_off[j] + f.mor_map[k])
-    obj_of, n_obj = uf_obj.class_index()
-    mor_of, n_mor = uf_mor.class_index()
-    obj_cls = [tuple(obj_of[off:off + g.n_objects]) for off, g in zip(obj_off, gpds)]
-    mor_cls = [tuple(mor_of[off:off + g.n_morphisms]) for off, g in zip(mor_off, gpds)]
-    src = _descend("source", n_mor, mor_cls,
-                   [[oc[x] for x in g.src] for oc, g in zip(obj_cls, gpds)])
-    tgt = _descend("target", n_mor, mor_cls,
-                   [[oc[x] for x in g.tgt] for oc, g in zip(obj_cls, gpds)])
-    inv = _descend("inverse", n_mor, mor_cls,
-                   [[mc[k] for k in g.inv] for mc, g in zip(mor_cls, gpds)])
-    id_of = _descend("identity", n_obj, obj_cls,
-                     [[mc[k] for k in g.id_of] for mc, g in zip(mor_cls, gpds)])
-    comp = {}
-    for mc, g in zip(mor_cls, gpds):
-        for (m1, m2), m3 in g.compositions():
-            key = (mc[m1], mc[m2])
-            val = mc[m3]
-            if comp.setdefault(key, val) != val:
-                raise NotFilteredError(
-                    f"composition on classes is not well-defined at {key}",
-                    witness=key)
-    colim = FiniteGroupoid(n_obj, src, tgt, id_of, inv, comp)
-    cocones = tuple(GroupoidMap(dom=g, cod=colim, obj_map=oc, mor_map=mc)
-                    for g, oc, mc in zip(gpds, obj_cls, mor_cls))
-    return GroupoidColimit(groupoid=colim, cocones=cocones)
+# generator arrows and terminal nodes against the reference, which joins
+# along every arrow and reads every node
 
 
 def assert_same_colimit(index, gpds, maps):
     got = colimit_groupoids(index, gpds, maps)
-    want = all_arrows_colimit_groupoids(index, gpds, maps)
+    want = reference.colimit_groupoids(index, gpds, maps)
     assert got.groupoid == want.groupoid
     assert got.cocones == want.cocones
 
@@ -625,47 +475,6 @@ def test_colimit_groupoids_agrees_with_the_all_arrows_routine_off_filtered_indic
 # arrow, so its report is the all-arrows report
 
 
-def all_arrows_validate_diagram(d):
-    """``validate_diagram`` as it was before it decided arrows on generators."""
-    report = validate_category(d.index)
-    if report:
-        return report
-    c = d.index
-    if len(d.nodes) != c.n_objects or len(d.arrows) != c.n_morphisms:
-        report.append("shape: one node per index object and one map per arrow expected")
-        return report
-    report.extend(
-        f"node {i}: {line}" for i, a in enumerate(d.nodes)
-        for line in validate_gamma_action(a)
-    )
-    if report:
-        return report
-    for u in c.morphisms():
-        e = d.arrows[u]
-        if e.dom_action != d.nodes[c.src[u]]:
-            report.append(f"arrow {u}: domain is not the source node")
-            continue
-        if e.cod_action != d.nodes[c.tgt[u]]:
-            report.append(f"arrow {u}: codomain is not the target node")
-            continue
-        functor_report = validate_functor(e.map)
-        if functor_report:
-            report.extend(f"arrow {u}: {line}" for line in functor_report)
-            continue
-        w = equivariance_witness(e)
-        if w is not None:
-            report.append(f"arrow {u}: not equivariant at {w[0]} {w[1]}")
-    if report:
-        return report
-    for i in c.objects():
-        if d.arrows[c.id_of[i]].map != identity_map(d.nodes[i].carrier):
-            report.append(f"functoriality: identity arrow of object {i}")
-    for (u, v), w in c.comp.items():
-        if d.arrows[u].map.then(d.arrows[v].map) != d.arrows[w].map:
-            report.append(f"functoriality: composite ({u},{v})")
-    return report
-
-
 def broken_arrows(d, rng):
     """Copies of d with one arrow's tables changed: reversed, one entry
     moved to another in-range value, cut short, or out of range."""
@@ -692,7 +501,7 @@ def test_validate_diagram_agrees_with_the_all_arrows_report():
     faults = 0
     for d in diagrams:
         for case in [d, *broken_arrows(d, rng)]:
-            want = all_arrows_validate_diagram(case)
+            want = reference.validate_diagram(case)
             assert validate_diagram(case) == want
             faults += bool(want)
     assert faults > 300

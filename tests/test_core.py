@@ -61,6 +61,7 @@ from grpd.groups import (
 from grpd.suites import (enumerate_functors, naive_is_fibration, naive_is_weak_equivalence,
                          suite_stalk_commutation)
 from grpd.util import UnionFind, _associativity_report, _generators
+import reference
 
 
 def test_small_catalog_is_valid():
@@ -73,61 +74,6 @@ def test_corrupted_composition_is_rejected():
     report = validate_groupoid(corrupted_bg_z2())
     assert report != []
     assert any("inverse" in line for line in report)
-
-
-def reference_validate_groupoid(g):
-    """The quantifier-loop validator the shared category checker replaced:
-    every pair and triple of morphisms is scanned and filtered."""
-    report = []
-    n, m = g.n_objects, g.n_morphisms
-    if len(g.tgt) != m or len(g.inv) != m or len(g.id_of) != n:
-        report.append("shape: src/tgt/inv/id tables have inconsistent lengths")
-        return report
-    if any(not 0 <= x < n for x in g.src) or any(not 0 <= x < n for x in g.tgt):
-        report.append("shape: src/tgt entry out of range")
-        return report
-    if any(not 0 <= k < m for k in g.id_of) or any(not 0 <= k < m for k in g.inv):
-        report.append("shape: id/inv entry out of range")
-        return report
-    for x in g.objects():
-        e = g.id_of[x]
-        if g.src[e] != x or g.tgt[e] != x:
-            report.append(f"identity: id_of[{x}] is not an endomorphism of {x}")
-    for (m1, m2), m3 in g.comp.items():
-        if not (0 <= m1 < m and 0 <= m2 < m and 0 <= m3 < m):
-            report.append(f"composition-domain: entry ({m1},{m2}) out of range")
-            return report
-        if g.tgt[m1] != g.src[m2]:
-            report.append(f"composition-domain: ({m1},{m2}) is not composable")
-        elif g.src[m3] != g.src[m1] or g.tgt[m3] != g.tgt[m2]:
-            report.append(f"composition: comp({m1},{m2}) has wrong endpoints")
-    for m1 in g.morphisms():
-        for m2 in g.morphisms():
-            if g.tgt[m1] == g.src[m2] and (m1, m2) not in g.comp:
-                report.append(f"composition-domain: missing entry for ({m1},{m2})")
-    if report:
-        return report
-    for k in g.morphisms():
-        if g.comp[(g.id_of[g.src[k]], k)] != k:
-            report.append(f"unit: id . {k} != {k}")
-        if g.comp[(k, g.id_of[g.tgt[k]])] != k:
-            report.append(f"unit: {k} . id != {k}")
-    for k in g.morphisms():
-        if g.comp[(k, g.inv[k])] != g.id_of[g.src[k]]:
-            report.append(f"inverse: {k} then inv({k}) is not the identity")
-        if g.comp[(g.inv[k], k)] != g.id_of[g.tgt[k]]:
-            report.append(f"inverse: inv({k}) then {k} is not the identity")
-    for m1 in g.morphisms():
-        for m2 in g.morphisms():
-            if g.tgt[m1] != g.src[m2]:
-                continue
-            left = g.comp[(m1, m2)]
-            for m3 in g.morphisms():
-                if g.tgt[m2] != g.src[m3]:
-                    continue
-                if g.comp[(left, m3)] != g.comp[(m1, g.comp[(m2, m3)])]:
-                    report.append(f"associativity: ({m1},{m2},{m3})")
-    return report
 
 
 def mutate(rng, g, kind):
@@ -172,7 +118,7 @@ def test_validate_groupoid_agrees_with_the_quantifier_reference():
                 # a second defect of another kind makes longer reports
                 if rng.random() < 0.5:
                     bad = mutate(rng, bad, rng.choice(kinds)) or bad
-                expected = reference_validate_groupoid(bad)
+                expected = reference.validate_groupoid(bad)
                 assert validate_groupoid(bad) == expected
                 seen.update(line.split(":")[0] for line in expected)
     assert {"composition-domain", "composition", "unit", "inverse",
@@ -192,7 +138,7 @@ def test_a_loop_that_is_not_a_group_takes_the_triple_walk():
     n = len(LOOP5)
     g = FiniteGroupoid(1, (0,) * n, (0,) * n, (0,), range(n),
                        {(a, b): LOOP5[a][b] for a in range(n) for b in range(n)})
-    expected = reference_validate_groupoid(g)
+    expected = reference.validate_groupoid(g)
     assert expected and all(line.startswith("associativity: ") for line in expected)
     assert validate_groupoid(g) == expected
     assert validate_group(FiniteGroup(LOOP5, identity=0, inv_table=tuple(range(n)))) == expected
@@ -305,8 +251,7 @@ def test_category_report_agrees_with_the_reference_on_one_flipped_composite(data
     else:
         comp[pair] = data.draw(st.sampled_from([k for k in g.morphisms() if k != old]))
     bad = FiniteGroupoid(g.n_objects, g.src, g.tgt, g.id_of, g.inv, comp)
-    assert (_category_report(bad, bad.inv)
-            == reference_validate_groupoid(bad))
+    assert _category_report(bad, bad.inv) == reference.validate_groupoid(bad)
 
 
 def test_validate_groupoid_reports_an_inverse_with_wrong_endpoints():
@@ -424,25 +369,6 @@ def test_fast_predicates_agree_with_quantifier_oracle():
         assert is_weak_equivalence(f) == naive_is_weak_equivalence(f)
 
 
-def hom_pair_is_weak_equivalence(f):
-    """The hom-pair routine ``is_weak_equivalence`` used before it read
-    components and vertex groups: a bijection on every ordered hom set and
-    essentially surjective."""
-    dom, cod = f.dom, f.cod
-    for x in dom.objects():
-        fx = f.obj_map[x]
-        for y in dom.objects():
-            ms = dom.hom(x, y)
-            images = {f.mor_map[k] for k in ms}
-            if len(images) != len(ms):
-                return False
-            if len(ms) != len(cod.hom(fx, f.obj_map[y])):
-                return False
-    comp_of = _component_index(cod)
-    hit = {comp_of[f.obj_map[x]] for x in dom.objects()}
-    return all(comp_of[y] in hit for y in cod.objects())
-
-
 def test_is_weak_equivalence_agrees_with_the_hom_pair_routine():
     catalog = small_groupoid_catalog()
     maps = [f for a in catalog for b in catalog for f in enumerate_functors(a, b)]
@@ -454,7 +380,7 @@ def test_is_weak_equivalence_agrees_with_the_hom_pair_routine():
     for f in maps:
         assert validate_functor(f) == []
         verdict = is_weak_equivalence(f)
-        assert verdict == hom_pair_is_weak_equivalence(f)
+        assert verdict == naive_is_weak_equivalence(f)
         verdicts.add(verdict)
     assert len(maps) > 1000 and verdicts == {True, False}
 
@@ -508,34 +434,7 @@ def test_validate_functor_reports_a_composite_the_codomain_lacks():
     assert validate_functor(GroupoidMap(g, h, (0,), (0, 1))) == ["composition: (1,1)"]
 
 
-# Composition tables built the way the constructors built them before they
-# carried rules; each rule must agree with its table on every pair.
-
-def old_action_table(a):
-    grp, nx = a.group, a.n_points
-    comp = {}
-    for g in grp.elements():
-        for x in range(nx):
-            gx = a.act(g, x)
-            for h in grp.elements():
-                comp[(g * nx + x, h * nx + gx)] = grp.mul(h, g) * nx + x
-    return comp
-
-
-def old_product_table(g, h):
-    nm = h.n_morphisms
-    return {(a1 * nm + b1, a2 * nm + b2): a3 * nm + b3
-            for (a1, a2), a3 in g.comp.items() for (b1, b2), b3 in h.comp.items()}
-
-
-def old_union_table(gs):
-    comp, offset = {}, 0
-    for g in gs:
-        for (m1, m2), m3 in g.comp.items():
-            comp[(offset + m1, offset + m2)] = offset + m3
-        offset += g.n_morphisms
-    return comp
-
+# Each rule must agree with the reference's table on every pair.
 
 def assert_rule_matches_table(g, table):
     """compose agrees with the table on composable pairs and raises KeyError
@@ -563,7 +462,7 @@ Z4_ON_TWO_POINTS = GroupAction(cyclic_group(4), 2, ((0, 1), (1, 0), (0, 1), (1, 
     Z4_ON_TWO_POINTS,
 ], ids=["EG(S3)", "BG(S3)", "EG(Z4)", "Z4-on-2"])
 def test_action_groupoid_rule_matches_the_old_table(a):
-    assert_rule_matches_table(build_action_groupoid(a), old_action_table(a))
+    assert_rule_matches_table(build_action_groupoid(a), reference.action_groupoid(a).comp)
 
 
 @pytest.mark.parametrize("factors", [
@@ -575,7 +474,7 @@ def test_action_groupoid_rule_matches_the_old_table(a):
 def test_product_rule_matches_the_old_table(factors):
     g, h = factors()
     p = product(g, h)
-    table = old_product_table(g, h)
+    table = reference.product(g, h).comp
     if validate_groupoid(g) or validate_groupoid(h):
         # a corrupted factor gives a corrupted product with the same table
         assert p.comp == table and validate_groupoid(p) != []
@@ -586,7 +485,7 @@ def test_product_rule_matches_the_old_table(factors):
 def test_disjoint_union_rule_matches_the_old_table():
     gs = [build_bg(cyclic_group(2)), discrete_groupoid(2), build_eg(cyclic_group(3)),
           build_action_groupoid(Z4_ON_TWO_POINTS)]
-    assert_rule_matches_table(disjoint_union(gs), old_union_table(gs))
+    assert_rule_matches_table(disjoint_union(gs), reference.disjoint_union(gs).comp)
     assert disjoint_union([]).comp == {}
 
 
@@ -616,20 +515,11 @@ def test_union_find_numbers_classes_by_their_minimum():
     for n in (0, 1, 2, 7, 30):
         for _ in range(20):
             uf = UnionFind(n)
-            blocks = [{x} for x in range(n)]
-            for _ in range(rng.randrange(n + 1)):
-                x, y = rng.randrange(n), rng.randrange(n)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n + 1))]
+            for x, y in pairs:
                 uf.union(x, y)
-                bx = next(b for b in blocks if x in b)
-                by = next(b for b in blocks if y in b)
-                if bx is not by:
-                    blocks.remove(by)
-                    bx |= by
-            want = sorted(sorted(b) for b in blocks)
-            class_of, n_classes = uf.class_index()
-            assert [[x for x in range(n) if class_of[x] == c] for c in range(n_classes)] == want
-            assert class_of == [next(i for i, b in enumerate(want) if x in b)
-                                for x in range(n)]
+            want = reference.classes(n, pairs)
+            assert uf.class_index() == (want, len(set(want)))
 
 
 def test_component_index_numbers_components_in_order():
@@ -649,22 +539,8 @@ def test_component_index_numbers_components_in_order():
         disjoint_union([build_bg(cyclic_group(2)), build_eg(cyclic_group(3)),
                         discrete_groupoid(2)])] + drawn
     for g in groupoids:
-        # flood fill from each object not yet reached, in increasing order
-        want = [None] * g.n_objects
-        n_classes = 0
-        for x in g.objects():
-            if want[x] is None:
-                want[x], todo = n_classes, [x]
-                while todo:
-                    y = todo.pop()
-                    for ends in zip(g.src, g.tgt):
-                        if y in ends:
-                            for z in ends:
-                                if want[z] is None:
-                                    want[z] = n_classes
-                                    todo.append(z)
-                n_classes += 1
+        want = reference.classes(g.n_objects, zip(g.src, g.tgt))
         assert _component_index(g) == want
-        assert len(components(g)) == n_classes
+        assert len(components(g)) == len(set(want))
     assert _component_index(disjoint_union([discrete_groupoid(2), build_eg(cyclic_group(2))])) \
         == [0, 1, 2, 2]

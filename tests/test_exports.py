@@ -7,6 +7,9 @@ import pkgutil
 from pathlib import Path
 
 import grpd
+import mutants
+
+TESTS = Path(__file__).parent
 
 
 def grpd_modules():
@@ -142,3 +145,34 @@ def test_every_public_function_and_class_backs_a_command_or_a_suite():
     reached = reached_from_the_cli_and_the_suites()
     assert len(public) > 100
     assert [(module, name) for module, name in public if name not in reached] == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a package's __init__ imports to re-export
+    unused = []
+    for path in [*Path(grpd.__file__).parent.glob("*.py"), *TESTS.glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        unused += [(path.name, alias.asname or alias.name.split(".")[0])
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names if (alias.asname or alias.name.split(".")[0]) not in used
+                   and alias.name != "annotations"]
+    assert unused == []
+
+
+def test_the_mutation_catalog_applies_to_the_sources_and_names_tests():
+    # each snippet occurs once, and each node id names a test function of
+    # its file; ``python tests/mutants.py`` runs the catalog itself
+    src = Path(grpd.__file__).parent
+    assert len({m.name for m in mutants.CATALOG}) == len(mutants.CATALOG) >= 25
+    for m in mutants.CATALOG:
+        assert (src / m.file).read_text().count(m.old) == 1 and m.old != m.new, m.name
+        for node in m.tests:
+            path, _, name = node.partition("::")
+            tree = ast.parse((TESTS.parent / path).read_text())
+            names = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+            assert name.split("[")[0] in names, (m.name, node)

@@ -55,6 +55,7 @@ from grpd.gamma import (
 )
 from grpd.groups import (GroupAction, conjugation_automorphism, cyclic_group,
                          inversion_automorphism, symmetric_group)
+import reference
 
 
 def bz2_trivial():
@@ -263,25 +264,6 @@ def test_eg_gamma_action_rejects_a_non_involution():
         eg_gamma_action(z3, (0, 2, 2))
 
 
-def reference_hfp(a):
-    """Fixed points straight from the definition, on the carrier's full table:
-    objects (x, phi) with phi: x -> bar(x) and bar(phi) = inv(phi) in
-    lexicographic order, and arrows (i, j, alpha) with alpha: x_i -> x_j and
-    alpha then phi_j equal to phi_i then bar(alpha), in lexicographic order."""
-    g = a.carrier
-    c = g.comp
-    between = {}
-    for k in g.morphisms():
-        between.setdefault((g.src[k], g.tgt[k]), []).append(k)
-    objs = [(x, phi) for x in g.objects() for phi in between.get((x, a.bar_obj[x]), ())
-            if a.bar_mor[phi] == g.inv[phi]]
-    arrows = [(i, j, alpha)
-              for i, (x, phi) in enumerate(objs) for j, (x1, phi1) in enumerate(objs)
-              for alpha in between.get((x, x1), ())
-              if c[(alpha, phi1)] == c[(phi, a.bar_mor[alpha])]]
-    return objs, arrows
-
-
 def small_actions():
     for g in small_groupoid_catalog():
         yield trivial_action(g)
@@ -301,23 +283,11 @@ def eg_s3_s4_actions():
 def test_hfp_agrees_with_a_brute_force_fixed_point_enumeration():
     for a in [*small_actions(), *eg_s3_s4_actions(),
               swap_action(build_eg(symmetric_group(3)))]:
-        g, fp = a.carrier, hfp(a)
+        fp, want = hfp(a), reference.hfp(a)
         h = fp.groupoid
-        objs, arrows = reference_hfp(a)
-        index = {arrow: k for k, arrow in enumerate(arrows)}
-        assert [(o.base, o.phi) for o in fp.objects] == objs
-        assert h.n_objects == len(objs)
-        assert list(zip(h.src, h.tgt, fp.underlying)) == arrows
-        assert h.id_of == tuple(index[(i, i, g.id_of[x])] for i, (x, _) in enumerate(objs))
-        assert h.inv == tuple(index[(j, i, g.inv[alpha])] for i, j, alpha in arrows)
-        c = g.comp
-        out_of = {}
-        for k, (i, _, _) in enumerate(arrows):
-            out_of.setdefault(i, []).append(k)
-        for k1, (i, j, alpha) in enumerate(arrows):
-            for k2 in out_of.get(j, ()):
-                _, l, beta = arrows[k2]
-                assert h.compose(k1, k2) == index[(i, l, c[(alpha, beta)])]
+        assert (fp.objects, fp.underlying) == (want.objects, want.underlying)
+        assert h._tables() == want.groupoid._tables()
+        assert all(h.compose(m1, m2) == m3 for (m1, m2), m3 in want.groupoid.comp.items())
         if h.n_morphisms <= 600:
             assert all(raises_key_error(h.compose, k1, k2)
                        for k1 in h.morphisms() for k2 in h.morphisms()
@@ -332,21 +302,11 @@ def raises_key_error(f, *args) -> bool:
     return False
 
 
-def old_hfp_table(fp):
-    """The fixed points' composition table as ``hfp`` used to fill it: every
-    pair of arrows scanned, composable ones looked up through the carrier's
-    table."""
-    g, h = fp.action.carrier, fp.groupoid
-    lift = {(h.src[m], fp.underlying[m]): m for m in h.morphisms()}
-    return {(m1, m2): lift[(h.src[m1], g.comp[(fp.underlying[m1], fp.underlying[m2])])]
-            for m1 in h.morphisms() for m2 in h.morphisms() if h.tgt[m1] == h.src[m2]}
-
-
 def test_hfp_rule_matches_the_old_table():
     for a in [*small_actions(), *eg_s3_s4_actions()]:
         fp = hfp(a)
         h = fp.groupoid
-        table = old_hfp_table(fp)
+        table = reference.hfp(a).groupoid.comp
         assert h._comp is None
         assert h.comp == table
         assert list(h.comp) == sorted(table)

@@ -4,11 +4,9 @@ from dataclasses import replace
 import pytest
 
 from grpd.cohomology import GroupGammaAction, bg_gamma_action
-from grpd.colimit import _descend
 from grpd.core import (
     FiniteGroupoid,
     GroupoidMap,
-    InvariantViolation,
     build_bg,
     discrete_groupoid,
     identity_map,
@@ -17,7 +15,6 @@ from grpd.core import (
     is_weak_equivalence,
     terminal_groupoid,
     validate_functor,
-    validate_groupoid,
 )
 from grpd.corpus import (
     constant_presheaf_action,
@@ -28,8 +25,7 @@ from grpd.corpus import (
     random_site,
     skyscraper_presheaf_action,
 )
-from grpd.gamma import (EquivariantMap, GammaAction, hfp, hfp_map, trivial_action,
-                        validate_gamma_action)
+from grpd.gamma import EquivariantMap, GammaAction, hfp, hfp_map, validate_gamma_action
 from grpd.groups import cyclic_group
 from grpd.presheaf import (
     _diagram_at_point,
@@ -54,7 +50,7 @@ from grpd.presheaf import (
     validate_presheaf_gamma_action,
     validate_site,
 )
-from test_colimit import all_arrows_colimit_groupoids
+import reference
 
 
 def validate_presheaf_map(f: PresheafMap) -> list[str]:
@@ -279,29 +275,12 @@ def test_carriers_equal_to_their_sections_are_checked_like_carriers():
         "open 0: shape: bar tables do not match the carrier")
 
 
-def reference_stalk_map(f, t):
-    """The stalk map as two ``_descend`` calls over the domain's germs, one
-    table per open: the map there, then the codomain's germ."""
-    sd, sc = stalk(f.dom, t), stalk(f.cod, t)
-    gd = [sd.germs[u] for u in sd.opens]
-    gc = [sc.germs[u] for u in sd.opens]
-    obj_map = _descend("stalk map on objects", sd.groupoid.n_objects,
-                       [g.obj_map for g in gd],
-                       [[g.obj_map[y] for y in f.at[u].obj_map]
-                        for g, u in zip(gc, sd.opens)])
-    mor_map = _descend("stalk map on morphisms", sd.groupoid.n_morphisms,
-                       [g.mor_map for g in gd],
-                       [[g.mor_map[k] for k in f.at[u].mor_map]
-                        for g, u in zip(gc, sd.opens)])
-    return obj_map, mor_map
-
-
 def test_stalk_map_agrees_with_the_per_open_reference():
     maps = [random_sectionwise_map(random.Random(seed)) for seed in range(50)]
     for f in maps + [local_not_sectionwise_weq(), local_not_sectionwise_fib()]:
         for t in f.dom.site.points():
             g = stalk_map(f, t)
-            assert (g.obj_map, g.mor_map) == reference_stalk_map(f, t)
+            assert (g.obj_map, g.mor_map) == reference.stalk_map(f, t)
 
 
 def test_stalks_agree_with_the_all_arrows_colimit():
@@ -313,41 +292,12 @@ def test_stalks_agree_with_the_all_arrows_colimit():
         for x in (a.presheaf, presheaf_hfp(a).presheaf):
             for t in x.site.points():
                 cat, opens = _point_filter_category(x.site, t)
-                want = all_arrows_colimit_groupoids(
+                want = reference.colimit_groupoids(
                     cat, [x.sections[u] for u in opens],
                     [x.res_map(opens[i], opens[j]) for i, j in zip(cat.src, cat.tgt)])
                 st = stalk(x, t)
                 assert st.groupoid == want.groupoid
                 assert tuple(st.germs[u] for u in opens) == want.cocones
-
-
-def all_restrictions_validate_presheaf(x):
-    """``validate_presheaf`` as it was before it decided restrictions on
-    covering pairs."""
-    s = x.site
-    if len(x.sections) != s.n_opens:
-        return ["shape: one section per open expected"]
-    report = [f"section {u}: {line}" for u, g in enumerate(x.sections)
-              for line in validate_groupoid(g)]
-    if report:
-        return report
-    pairs = set(s.comparable_pairs())
-    if set(x.res) != pairs:
-        report.append("shape: restriction keys must be the strictly comparable pairs")
-        return report
-    for (u, v), f in x.res.items():
-        if f.dom != x.sections[u] or f.cod != x.sections[v]:
-            report.append(f"restriction ({u},{v}): wrong endpoints")
-            continue
-        report.extend(f"restriction ({u},{v}): {line}" for line in validate_functor(f))
-    if report:
-        return report
-    for (u, v) in pairs:
-        for w in s.opens():
-            if w != v and w != u and s.is_leq(w, v):
-                if x.res[(u, v)].then(x.res[(v, w)]) != x.res[(u, w)]:
-                    report.append(f"functoriality: ({u},{v},{w})")
-    return report
 
 
 def broken_restrictions(x, rng):
@@ -384,7 +334,7 @@ def test_validate_presheaf_agrees_with_the_all_restrictions_report():
     faults = 0
     for x in presheaves:
         for case in [x, *broken_restrictions(x, rng)]:
-            want = all_restrictions_validate_presheaf(case)
+            want = reference.validate_presheaf(case)
             assert validate_presheaf(case) == want
             faults += bool(want)
     assert faults > 300
@@ -452,51 +402,6 @@ def test_hfp_map_of_an_endomorphism_computes_the_fixed_points_once(hfp_calls):
 # meets on down-sets
 
 
-def pairwise_validate_site(s: FiniteSite) -> list[str]:
-    """``validate_site`` as it was before meets were read off down-sets: for
-    each pair of opens, every lower bound against every other."""
-    report = []
-    n = s.n_opens
-    if len(s.point_open) != s.n_points:
-        return ["shape: one least open per point expected"]
-    for (u, v) in s.leq:
-        if not (0 <= u < n and 0 <= v < n):
-            report.append("shape: leq entry out of range")
-            return report
-    for u in s.opens():
-        if not s.is_leq(u, u):
-            report.append(f"poset: {u} is not below itself")
-    for (u, v) in s.leq:
-        if u != v and s.is_leq(v, u):
-            report.append(f"poset: {u} and {v} are below each other")
-    for (u, v) in s.leq:
-        for w in s.opens():
-            if s.is_leq(v, w) and not s.is_leq(u, w):
-                report.append(f"poset: transitivity fails at ({u},{v},{w})")
-    if report:
-        return report
-    if not any(all(s.is_leq(u, t) for u in s.opens()) for t in s.opens()):
-        report.append("bounds: no top open")
-    if not any(all(s.is_leq(b, u) for u in s.opens()) for b in s.opens()):
-        report.append("bounds: no bottom open")
-    for u in s.opens():
-        for v in s.opens():
-            lower = [w for w in s.opens() if s.is_leq(w, u) and s.is_leq(w, v)]
-            if not any(all(s.is_leq(x, w) for x in lower) for w in lower):
-                report.append(f"meets: opens {u} and {v} have no meet")
-    for t in s.points():
-        if not 0 <= s.point_open[t] < n:
-            report.append(f"points: least open of point {t} out of range")
-    seen = {}
-    for u in s.opens():
-        key = frozenset(t for t in s.points() if s.is_leq(s.point_open[t], u))
-        if key in seen:
-            report.append(f"separation: opens {seen[key]} and {u} contain the same points")
-        else:
-            seen[key] = u
-    return report
-
-
 def poset_site(n, below, points):
     """Opens 0..n-1 ordered by the reflexive closure of ``below``."""
     leq = frozenset(below) | {(u, u) for u in range(n)}
@@ -531,8 +436,8 @@ def test_validate_site_agrees_with_the_pairwise_meet_check():
     rng = random.Random("sites:valid")
     for _ in range(200):
         s = random_site(rng)
-        assert validate_site(s) == pairwise_validate_site(s) == []
-    reports = [(validate_site(s), pairwise_validate_site(s)) for s in broken_sites()]
+        assert validate_site(s) == reference.validate_site(s) == []
+    reports = [(validate_site(s), reference.validate_site(s)) for s in broken_sites()]
     assert all(new == old for new, old in reports)
     lines = {" ".join(line.split()[:2]) for new, _ in reports for line in new}
     assert {"meets: opens", "separation: opens", "shape: leq", "poset: transitivity",

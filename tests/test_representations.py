@@ -1,12 +1,11 @@
 """The arrows out of each object as builders supply them, and labels as
-rules, against the generic index and the eager labels they replaced.
+rules, against the generic index and the labels of the references.
 
-``generic_out_of`` is the index ``FiniteCategory.out_of`` builds from
-``src``.  The ``eager_*_labels`` functions are copies of the label tables
-that ``build_action_groupoid``, ``disjoint_union``, ``product`` and ``hfp``
-built eagerly before they passed rules; the ``built`` fixture wraps the
-three builders wherever the package imports them and records, for each
-groupoid they make, how to compute those tables from the same inputs.
+``reference.out_of`` is the index ``FiniteCategory.out_of`` builds from
+``src``.  The ``built`` fixture wraps ``build_action_groupoid``,
+``disjoint_union`` and ``product`` wherever the package imports them and
+records, for each groupoid they make, how to build its reference from the
+same inputs.
 """
 
 import importlib
@@ -32,17 +31,11 @@ from grpd.groups import conjugation_automorphism, dihedral_group, symmetric_grou
 from test_gamma import small_actions
 from test_rows import carriers
 from test_sweep import involutions_by_carrier
-
-
-def generic_out_of(g):
-    rows = [[] for _ in g.objects()]
-    for k, x in enumerate(g.src):
-        rows[x].append(k)
-    return [tuple(row) for row in rows]
+import reference
 
 
 def assert_out_of_is_generic(g):
-    assert [tuple(row) for row in g.out_of] == generic_out_of(g)
+    assert [tuple(row) for row in g.out_of] == reference.out_of(g)
 
 
 def ladder_rungs():
@@ -92,48 +85,22 @@ def test_supplied_out_of_is_the_generic_index_on_the_sweep_fixed_points():
 # labels
 
 
-def eager_action_labels(a):
-    grp, nx = a.group, a.n_points
-    point_labels = [a.point_label(x) for x in range(nx)]
-    mor_labels = [f"{g}.{p}" for g in map(grp.label, grp.elements()) for p in point_labels]
-    return point_labels, mor_labels
-
-
-def eager_union_labels(gs):
-    obj_labels, mor_labels = [], []
-    for g in gs:
-        obj_labels.extend(g.obj_label(x) for x in g.objects())
-        mor_labels.extend(g.mor_label(k) for k in g.morphisms())
-    return obj_labels, mor_labels
-
-
-def eager_product_labels(g, h):
-    obj_labels = [f"({g.obj_label(x)},{h.obj_label(y)})"
-                  for x in g.objects() for y in h.objects()]
-    mor_labels = [f"({g.mor_label(m)},{h.mor_label(k)})"
-                  for m in g.morphisms() for k in h.morphisms()]
-    return obj_labels, mor_labels
-
-
-def eager_hfp_labels(fp):
-    g = fp.action.carrier
-    return ([f"({g.obj_label(o.base)},{g.mor_label(o.phi)})" for o in fp.objects],
-            [g.mor_label(k) for k in fp.underlying])
+def labels(g):
+    return g.obj_labels, g.mor_labels
 
 
 @pytest.fixture
 def built(monkeypatch):
     """Each groupoid the three label-building builders make, in order, with a
-    function of no arguments giving the eager labels for it."""
+    function of no arguments giving its reference."""
     made = []
-    for name, reference in (("build_action_groupoid", eager_action_labels),
-                            ("disjoint_union", eager_union_labels),
-                            ("product", eager_product_labels)):
+    for name in ("build_action_groupoid", "disjoint_union", "product"):
         original = getattr(core, name)
+        build = getattr(reference, name.removeprefix("build_"))
 
-        def wrapper(*args, original=original, reference=reference):
+        def wrapper(*args, original=original, build=build):
             g = original(*args)
-            made.append((g, lambda: reference(*args)))
+            made.append((g, lambda: build(*args)))
             return g
 
         patch_everywhere(monkeypatch, original, wrapper)
@@ -152,9 +119,8 @@ def patch_everywhere(monkeypatch, original, wrapper):
 
 def assert_labels_match(made):
     # newest first, so that a rule is read before the rules it calls are
-    for g, reference in reversed(made):
-        got = (g.obj_labels, g.mor_labels)
-        assert got == tuple(map(tuple, reference()))
+    for g, build in reversed(made):
+        assert labels(g) == labels(build())
 
 
 def test_label_rules_give_the_eager_labels_on_every_random_gamma_pattern(built, monkeypatch):
@@ -173,8 +139,7 @@ def test_label_rules_give_the_eager_labels_on_every_random_gamma_pattern(built, 
     assert all(callable(fp.groupoid._obj_labels) for fp in fps)
     # the fixed points first: their rules call the carriers' rules
     for fp in fps:
-        assert (fp.groupoid.obj_labels, fp.groupoid.mor_labels) == tuple(
-            map(tuple, eager_hfp_labels(fp)))
+        assert labels(fp.groupoid) == labels(reference.hfp(fp.action).groupoid)
     assert len(built) > 150
     assert_labels_match(built)
 
@@ -187,8 +152,7 @@ def test_label_rules_give_the_eager_labels_on_presheaves_and_diagrams(built):
         d = random_filtered_diagram(random.Random(seed))
         fps += [hfp(a) for a in (*p.at, *d.nodes)]
     for fp in fps:
-        assert (fp.groupoid.obj_labels, fp.groupoid.mor_labels) == tuple(
-            map(tuple, eager_hfp_labels(fp)))
+        assert labels(fp.groupoid) == labels(reference.hfp(fp.action).groupoid)
     assert_labels_match(built)
 
 
@@ -199,9 +163,7 @@ def test_label_rules_read_tables_as_the_eager_readers_did():
     long = core.FiniteGroupoid(*g._tables()[:4], g.inv, g.compose_each,
                                obj_labels=[*g.obj_labels, "extra"],
                                mor_labels=[*g.mor_labels, "extra"])
-    p = core.product(long, long)
-    assert p.obj_labels == tuple(eager_product_labels(g, g)[0])
-    assert p.mor_labels == tuple(eager_product_labels(g, g)[1])
+    assert labels(core.product(long, long)) == labels(reference.product(g, g))
     short = core.FiniteGroupoid(*g._tables()[:4], g.inv, g.compose_each,
                                 obj_labels=g.obj_labels[:-1])
     u = core.disjoint_union([short, g])
@@ -221,28 +183,6 @@ def test_relabel_keeps_the_labels_of_a_rule():
 # product and EG tables
 
 
-def entrywise_product_tables(g, h):
-    """``src``, ``tgt``, ``id_of`` and ``inv`` of the product as ``product``
-    built them before it read the factors' tables whole: one call per entry."""
-    no, nm = h.n_objects, h.n_morphisms
-
-    def obj(x, y):
-        return x * no + y
-
-    def mor(m, k):
-        return m * nm + k
-
-    return ([obj(g.src[m], h.src[k]) for m in g.morphisms() for k in h.morphisms()],
-            [obj(g.tgt[m], h.tgt[k]) for m in g.morphisms() for k in h.morphisms()],
-            [mor(g.id_of[x], h.id_of[y]) for x in g.objects() for y in h.objects()],
-            [mor(g.inv[m], h.inv[k]) for m in g.morphisms() for k in h.morphisms()])
-
-
-def entrywise_eg_bar_mor(theta):
-    n = len(theta)
-    return tuple(theta[m // n] * n + theta[m % n] for m in range(n * n))
-
-
 def test_products_and_eg_bars_give_the_entrywise_tables(monkeypatch):
     products, original = [], core.product
 
@@ -257,8 +197,8 @@ def test_products_and_eg_bars_give_the_entrywise_tables(monkeypatch):
     actions += [*small_actions(), swap_action(build_eg(dihedral_group(4)))]
     assert len(products) > 60
     for p, g, h in products:
-        assert (p.src, p.tgt, p.id_of, p.inv) == tuple(map(tuple, entrywise_product_tables(g, h)))
+        assert p._tables() == reference.product(g, h)._tables()
     egs = [(d.group, d.theta) for d in involutive_fixtures()]
     egs += [(g, conjugation_automorphism(g, 1)) for g in map(symmetric_group, (3, 4, 5))]
     for g, theta in egs:
-        assert eg_gamma_action(g, theta).bar_mor == entrywise_eg_bar_mor(tuple(theta))
+        assert eg_gamma_action(g, theta).bar_mor == reference.eg_bar_mor(tuple(theta))

@@ -1,19 +1,18 @@
 """Exhaustive sweep over the small catalog: every involution of every groupoid
 of ``small_groupoid_catalog()`` and every equivariant map between two of
 them, decided by the fast predicates, by the naive oracles and, for the
-colimit comparison and the colimit itself, by the constructions they
-replaced."""
+colimit comparison and the colimit itself, by their references."""
 
 from functools import cache
 
-from grpd.colimit import (FilteredDiagram, _descend, _poset_category, colimit_groupoids,
-                          hfp_colimit_comparison)
-from grpd.core import InvariantViolation, identity_map, is_fibration, is_weak_equivalence
+from grpd.colimit import FilteredDiagram, _poset_category, hfp_colimit_comparison
+from grpd.core import identity_map, is_fibration, is_weak_equivalence
 from grpd.corpus import small_groupoid_catalog
 from grpd.gamma import (EquivariantMap, GammaAction, equivariance_witness, hfp, hfp_map,
                         validate_gamma_action)
 from grpd.suites import enumerate_functors, naive_is_fibration, naive_is_weak_equivalence
 from test_colimit import assert_same_colimit
+import reference
 
 
 @cache
@@ -42,7 +41,7 @@ def equivariant_maps():
 
 def test_the_sweep_has_the_counted_size():
     assert sum(map(len, involutions_by_carrier())) == 32
-    assert len(equivariant_maps()) == 2275
+    assert len(equivariant_maps()) == 2515
 
 
 def test_iota_is_a_fibration_on_every_involution():
@@ -68,45 +67,6 @@ def test_hfp_map_preserves_fibrations_and_weak_equivalences():
     assert (fibrations, weak_equivalences) == (757, 262)
 
 
-def reference_comparison_map(d, co, rhs, fps):
-    """The comparison map as built before it was read through the cocones:
-    one lookup per fixed point and per arrow in the fixed points of the
-    colimit, ``None`` where a class lands apart or on no fixed point.  ``fps``
-    are the fixed points of the nodes."""
-    arrow_maps = [hfp_map(d.arrows[u], fps[d.index.src[u]], fps[d.index.tgt[u]])
-                  for u in d.index.morphisms()]
-    lhs = colimit_groupoids(d.index, [fp.groupoid for fp in fps], arrow_maps)
-    germs = [c.map for c in co.cocones]
-
-    def lookup(find, *key):
-        try:
-            return find(*key)
-        except KeyError:
-            return None
-
-    def fixed_object(i, o):
-        return lookup(rhs.object_id, germs[i].obj_map[o.base], germs[i].mor_map[o.phi])
-
-    def fixed_morphism(i, m):
-        src = obj_map[lhs.cocones[i].obj_map[fps[i].groupoid.src[m]]]
-        return lookup(rhs.morphism_id, src, germs[i].mor_map[fps[i].underlying[m]])
-
-    try:
-        obj_map = _descend("comparison on objects", lhs.groupoid.n_objects,
-                           [c.obj_map for c in lhs.cocones],
-                           [[fixed_object(i, o) for o in fp.objects]
-                            for i, fp in enumerate(fps)])
-        if None in obj_map:
-            return None
-        mor_map = _descend("comparison on morphisms", lhs.groupoid.n_morphisms,
-                           [c.mor_map for c in lhs.cocones],
-                           [[fixed_morphism(i, m) for m in fp.groupoid.morphisms()]
-                            for i, fp in enumerate(fps)])
-    except InvariantViolation:
-        return None
-    return None if None in mor_map else (obj_map, mor_map)
-
-
 def test_comparison_is_an_isomorphism_on_every_equivariant_map():
     # each map A -> B is a diagram over the poset 0 <= 1, whose arrows are
     # numbered (0, 0), (0, 1), (1, 1)
@@ -120,7 +80,7 @@ def test_comparison_is_an_isomorphism_on_every_equivariant_map():
         c = hfp_colimit_comparison(d)
         assert c.is_isomorphism
         assert c.map.cod is c.rhs.groupoid
-        assert (c.map.obj_map, c.map.mor_map) == reference_comparison_map(
+        assert (c.map.obj_map, c.map.mor_map) == reference.comparison_map(
             d, c.colimit, c.rhs, [fixed[id(a)], fixed[id(b)]])
 
 
